@@ -13,11 +13,11 @@ from .model import (
 from .inference import (
     MODE_LITERAL, MODE_MAGNITUDE, MODE_OFF, PruneConfig, apply_activation,
     avgpool_forward, connected_forward, conv_forward_fast, conv_forward_reference,
-    epsilon_activate, forward, maxpool_forward, softmax_forward,
+    epsilon_activate, forward, maxpool_forward, pruned_conv_forward, softmax_forward,
 )
 from .pruning import (
     ChannelMarkTable, LayerSavings, LoadRecorder, LoadRow, ProcessorCapability,
-    SavingsReport, mark_zero_channels, pruned_conv_forward, savings_ratio,
+    SavingsReport, mark_zero_channels, savings_ratio,
 )
 from .stats import (
     DEFAULT_THRESHOLDS, CostModel, LayerCost, SparsityReport, activation_sparsity,

@@ -7,6 +7,7 @@ Commands: analyze-weights, infer, eval, sweep, static-prune. Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -23,11 +24,18 @@ SWEEP_DEFAULT_EPSILONS = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
 _MODES = {"off": MODE_OFF, "literal": MODE_LITERAL, "magnitude": MODE_MAGNITUDE}
 
 
-def _parse_float_list(text: str) -> list[float]:
+def _finite_float(text: str) -> float:
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        value = float(text)
+        if math.isfinite(value):
+            return value
     except ValueError:
-        raise ValueError(f"expected a comma-separated float list, got {text!r}") from None
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+
+
+def _float_list(text: str) -> list[float]:
+    return [_finite_float(part) for part in text.split(",") if part.strip() != ""]
 
 
 def _parse_capability(text: str) -> ProcessorCapability:
@@ -52,7 +60,7 @@ def _prune_config(args) -> PruneConfig:
 
 def _cmd_analyze_weights(args) -> int:
     model = _load_model(args, fold=False)
-    thresholds = _parse_float_list(args.thresholds) if args.thresholds else list(DEFAULT_THRESHOLDS)
+    thresholds = args.thresholds if args.thresholds else list(DEFAULT_THRESHOLDS)
     report = weight_sparsity(model, thresholds)
     if args.out:
         if args.format == "json":
@@ -106,7 +114,7 @@ def _cmd_sweep(args) -> int:
     model = _load_model(args)
     names = load_class_names(args.names) if args.names else None
     manifest = load_manifest(args.manifest, class_names=names)
-    epsilons = _parse_float_list(args.thresholds) if args.thresholds else list(SWEEP_DEFAULT_EPSILONS)
+    epsilons = args.thresholds if args.thresholds else list(SWEEP_DEFAULT_EPSILONS)
     mode = _MODES[args.mode] if args.mode != "off" else MODE_LITERAL
     result = epsilon_sweep(model, manifest, epsilons, leak=args.leak, mode=mode,
                            capability=_parse_capability(args.capability))
@@ -142,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     prune_opts = argparse.ArgumentParser(add_help=False)
     prune_opts.add_argument("--mode", choices=sorted(_MODES), default="off")
-    prune_opts.add_argument("--epsilon", type=float, default=0.0)
+    prune_opts.add_argument("--epsilon", type=_finite_float, default=0.0)
     prune_opts.add_argument("--leak", type=float, default=0.01)
     prune_opts.add_argument("--capability", default="16x16", help="processor tile, e.g. 16x16")
 
@@ -152,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze-weights", parents=[common, out_opts],
                        help="coefficient sparsity per threshold")
-    p.add_argument("--thresholds", help="comma-separated threshold list")
+    p.add_argument("--thresholds", type=_float_list, help="comma-separated threshold list")
     p.set_defaults(func=_cmd_analyze_weights)
 
     p = sub.add_parser("infer", parents=[common, prune_opts],
@@ -173,12 +181,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="accuracy and load reduction across epsilon values")
     p.add_argument("--manifest", required=True)
     p.add_argument("--names")
-    p.add_argument("--thresholds", help="epsilon list, default 0,0.1,...,0.5")
+    p.add_argument("--thresholds", type=_float_list, help="epsilon list, default 0,0.1,...,0.5")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("static-prune", parents=[common],
                        help="zero small coefficients and write a new weights file")
-    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--epsilon", type=_finite_float, required=True)
     p.add_argument("--out", required=True, help="output weights file")
     p.set_defaults(func=_cmd_static_prune)
 

@@ -2,8 +2,9 @@
 
 Two convolution paths are provided: a direct 6-loop reference used as the
 correctness oracle, and an im2col matrix-product fast path used by the
-engine. Both apply the layer's activation, which is where the epsilon
-pruning transform lives when a PruneConfig enables it.
+engine, through which the skip-aware convolution also runs. Both apply the
+layer's activation, which is where the epsilon pruning transform lives when
+a PruneConfig enables it.
 """
 
 from __future__ import annotations
@@ -12,10 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import BN_EPSILON, LayerSpec, NetworkModel
-from .pruning import LoadRecorder, ProcessorCapability, mark_zero_channels, pruned_conv_forward
+from .pruning import ChannelMarkTable, LoadRecorder, ProcessorCapability, mark_zero_channels
 from .tensor import ShapeError, Tensor, WeightBlock
 
 MODE_OFF = "off"
@@ -41,8 +41,8 @@ class PruneConfig:
     mode: str = MODE_OFF
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be non-negative, got {self.epsilon}")
+        if not math.isfinite(self.epsilon) or self.epsilon < 0:
+            raise ValueError(f"epsilon must be finite and non-negative, got {self.epsilon}")
         if not 0 < self.leak < 1:
             raise ValueError(f"leak must be in (0, 1), got {self.leak}")
         if self.mode not in (MODE_OFF, MODE_LITERAL, MODE_MAGNITUDE):
@@ -84,14 +84,22 @@ def apply_activation(values: np.ndarray, activation: str, cfg: PruneConfig | Non
     relu feeds its non-negative output into the epsilon transform; leaky is
     the epsilon transform itself (which embeds the leak); linear is never
     transformed, so epsilon pruning on linear layers happens only through
-    channel marking downstream.
+    channel marking downstream. relu rectifies in place, so the caller must
+    own values; the result is returned either way.
     """
     if activation == "linear":
         return values
     pruning = cfg is not None and cfg.mode != MODE_OFF
     if activation == "relu":
-        rectified = np.maximum(values, _F32_ZERO)
-        return _epsilon_activate_array(rectified, cfg) if pruning else rectified
+        rectified = np.maximum(values, _F32_ZERO, out=values)
+        if not pruning:
+            return rectified
+        if cfg.mode == MODE_LITERAL:
+            # Rectified values are +0 or above (or NaN), so the literal
+            # transform only zeroes [0, eps]. Multiplying by the mask keeps
+            # NaN, which np.where(v > eps, v, 0) would turn into 0.
+            return np.multiply(rectified, rectified > np.float32(cfg.epsilon), out=rectified)
+        return _epsilon_activate_array(rectified, cfg)
     if activation == "leaky":
         if pruning:
             return _epsilon_activate_array(values, cfg)
@@ -161,55 +169,109 @@ def conv_forward_reference(fmap: Tensor, layer: LayerSpec, block: WeightBlock,
     return Tensor(apply_activation(out, layer.activation, cfg))
 
 
-def _finish_conv(raw: np.ndarray, block: WeightBlock) -> np.ndarray:
+def _finish_conv(out: np.ndarray, block: WeightBlock) -> None:
+    """Apply batch norm (when present) and the bias to conv output in place."""
     if block.has_batch_norm:
         rstd = np.float32(1.0) / np.sqrt(block.bn_rolling_var + BN_EPSILON)
-        return (block.bn_scales[:, None, None] * (raw - block.bn_rolling_mean[:, None, None])
-                * rstd[:, None, None] + block.biases[:, None, None])
-    return raw + block.biases[:, None, None]
+        out -= block.bn_rolling_mean[:, None, None]
+        out *= block.bn_scales[:, None, None]
+        out *= rstd[:, None, None]
+    out += block.biases[:, None, None]
 
 
 def conv_forward_fast(fmap: Tensor, layer: LayerSpec, block: WeightBlock,
-                      cfg: PruneConfig | None = None) -> Tensor:
-    """im2col + matrix-product convolution; contract-equal to the reference."""
+                      cfg: PruneConfig | None = None,
+                      zero_channels: np.ndarray | None = None) -> Tensor:
+    """im2col + one matrix product over all groups; contract-equal to the reference.
+
+    The input is padded once into a float64 buffer, in which the patch
+    products accumulate; the result is stored float32. Input channels listed
+    in zero_channels read as exact zeros there, as if the input had been
+    zeroed; the input itself is left unchanged.
+    """
     oh, ow = _check_conv_input(fmap, layer, block)
-    c = fmap.c
+    c, h, w = fmap.shape
     o, cpg, k = block.out_channels, block.in_channels_per_group, block.kernel_size
     s, p = layer.stride, layer.padding
     groups = layer.groups
-    fpg = o // groups
 
-    data = fmap.data
     if p:
-        data = np.pad(data, ((0, 0), (p, p), (p, p)))
-    windows = sliding_window_view(data, (k, k), axis=(1, 2))[:, ::s, ::s]
-    # accumulate the patch products in float64, store float32
-    cols = windows.transpose(0, 3, 4, 1, 2).reshape(c * k * k, oh * ow).astype(np.float64)
-    wmat = block.weights.reshape(o, cpg * k * k).astype(np.float64)
-
-    raw = np.empty((o, oh * ow), dtype=np.float32)
-    rows_per_group = cpg * k * k
-    for g in range(groups):
-        raw[g * fpg:(g + 1) * fpg] = (
-            wmat[g * fpg:(g + 1) * fpg] @ cols[g * rows_per_group:(g + 1) * rows_per_group]
-        )
-    out = _finish_conv(raw.reshape(o, oh, ow), block)
+        buf = np.zeros((c, h + 2 * p, w + 2 * p))
+        buf[:, p:p + h, p:p + w] = fmap.data
+    else:
+        buf = fmap.data.astype(np.float64)
+    if zero_channels is not None:
+        buf[zero_channels] = 0.0
+    if k == 1 and s == 1:
+        cols = buf.reshape(groups, cpg, oh * ow)
+    else:
+        # one strided copy per kernel tap; rows ordered (channel, ky, kx)
+        # to match the weight layout
+        cols = np.empty((c, k, k, oh, ow))
+        ys, xs = s * (oh - 1) + 1, s * (ow - 1) + 1
+        for ky in range(k):
+            for kx in range(k):
+                cols[:, ky, kx] = buf[:, ky:ky + ys:s, kx:kx + xs:s]
+        cols = cols.reshape(groups, cpg * k * k, oh * ow)
+    wmat = block.weights.reshape(groups, o // groups, cpg * k * k).astype(np.float64)
+    out = np.matmul(wmat, cols).reshape(o, oh, ow).astype(np.float32)
+    _finish_conv(out, block)
     return Tensor(apply_activation(out, layer.activation, cfg))
 
 
+def pruned_conv_forward(fmap: Tensor, marks: ChannelMarkTable, layer: LayerSpec,
+                        block: WeightBlock, recorder: LoadRecorder | None = None,
+                        cfg: PruneConfig | None = None) -> Tensor:
+    """Convolution that skips the marked input channels.
+
+    The output is identical to running the plain convolution over the input
+    with marked channels replaced by exact zeros; the conv kernel zeroes them
+    in its own buffer, so the input is not copied. Marked channels are not
+    loaded: their plane elements and the kernel slices reading them are
+    counted as skipped, not loaded. Marks may have been computed before a
+    pooling layer, so only the channel count is checked against the input.
+    """
+    if marks.channels != fmap.c:
+        raise ShapeError(
+            f"mark table covers {marks.channels} channels, input has {fmap.c}"
+        )
+    skipped = marks.marked_channels()
+    if recorder is not None:
+        coeffs_per_channel = (block.out_channels // layer.groups) * block.kernel_size ** 2
+        recorder.record(layer.index, layer.kind, fmap.c, int(skipped.size),
+                        fmap.h * fmap.w, int(skipped.size) * coeffs_per_channel)
+    return conv_forward_fast(fmap, layer, block, cfg=cfg, zero_channels=skipped)
+
+
 def maxpool_forward(fmap: Tensor, size: int, stride: int) -> Tensor:
-    """Max pooling with ceil-mode output size and edge-clamped windows."""
+    """Max pooling with ceil-mode output size and edge-clamped windows.
+
+    Window (oy, ox) covers rows [min(oy*stride, h-1), min(oy*stride+size, h))
+    and the matching columns.
+    """
     c, h, w = fmap.shape
     oh = max(-((h - size) // -stride) + 1, 1)
     ow = max(-((w - size) // -stride) + 1, 1)
-    out = np.empty((c, oh, ow), dtype=np.float32)
-    for oy in range(oh):
-        y0 = min(oy * stride, h - 1)
-        y1 = min(oy * stride + size, h)
-        for ox in range(ow):
-            x0 = min(ox * stride, w - 1)
-            x1 = min(ox * stride + size, w)
-            out[:, oy, ox] = fmap.data[:, y0:y1, x0:x1].max(axis=(1, 2))
+    hp, wp = (oh - 1) * stride + size, (ow - 1) * stride + size
+    data = fmap.data
+    if (hp, wp) != (h, w):
+        # -inf never wins, so the ceil-mode overhang drops out of every
+        # window. A last window that starts past the edge (stride > size) is
+        # clamped to the last row or column, so that line is copied to where
+        # the window starts.
+        data = np.full((c, hp, wp), -np.inf, dtype=np.float32)
+        data[:, :h, :w] = fmap.data
+        last_y, last_x = (oh - 1) * stride, (ow - 1) * stride
+        if last_x >= w:
+            data[:, :h, last_x] = fmap.data[:, :, w - 1]
+        if last_y >= h:
+            data[:, last_y] = data[:, h - 1]
+    ys, xs = stride * (oh - 1) + 1, stride * (ow - 1) + 1
+    out = data[:, :ys:stride, :xs:stride].copy()
+    for dy in range(size):
+        for dx in range(size):
+            if dy or dx:
+                np.maximum(out, data[:, dy:dy + ys:stride, dx:dx + xs:stride], out=out)
     return Tensor(out)
 
 

@@ -346,7 +346,9 @@ def fold_batch_norm(model: NetworkModel) -> NetworkModel:
 
     Each affected output channel is scaled by scale/sqrt(variance + 1e-6)
     and its bias shifted so the folded forward pass matches the unfolded
-    one; the statistics arrays are dropped. Returns a new model.
+    one; the statistics arrays are dropped. Returns a new model; blocks
+    without batch norm are not copied but shared with the input model, so
+    writing to their arrays in place changes both.
     """
     layers: list[LayerSpec] = []
     blocks: list[WeightBlock | None] = []
@@ -364,6 +366,6 @@ def fold_batch_norm(model: NetworkModel) -> NetworkModel:
             blocks.append(folded)
         else:
             layers.append(layer)
-            blocks.append(block.copy() if block is not None else None)
+            blocks.append(block)
     return NetworkModel(model.input_shape, layers, blocks,
                         None if model.header is None else replace(model.header))

@@ -1,14 +1,15 @@
-"""Channel zero-marking under a processor capability, skip-aware convolution,
-and feature-map load accounting."""
+"""Channel zero-marking under a processor capability and feature-map load
+accounting."""
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, WeightBlock
+from .tensor import Tensor
 
 FLOAT_BITS = 32
 
@@ -65,8 +66,8 @@ def mark_zero_channels(fmap: Tensor, epsilon: float,
     of its part flags are. Comparison is inclusive and in float32, so
     epsilon=0 marks exactly-zero channels.
     """
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
+    if not math.isfinite(epsilon) or epsilon < 0:
+        raise ValueError(f"epsilon must be finite and non-negative, got {epsilon}")
     c, h, w = fmap.shape
     plane = h * w
     part_size = cap.h * cap.w
@@ -171,35 +172,6 @@ class LoadRecorder:
                 writer.writerow([row.layer_index, row.layer_kind, row.channels_total,
                                  row.channels_skipped, row.elements_loaded, row.bits_loaded,
                                  row.kernel_coeffs_skipped])
-
-
-def pruned_conv_forward(fmap: Tensor, marks: ChannelMarkTable, layer, block: WeightBlock,
-                        recorder: LoadRecorder | None = None, cfg=None) -> Tensor:
-    """Convolution that skips the marked input channels.
-
-    The output is identical to running the plain convolution over the input
-    with marked channels replaced by exact zeros. Marked channels are not
-    loaded: their plane elements and the kernel slices reading them are
-    counted as skipped, not loaded. Marks may have been computed before a
-    pooling layer, so only the channel count is checked against the input.
-    """
-    if marks.channels != fmap.c:
-        raise ShapeError(
-            f"mark table covers {marks.channels} channels, input has {fmap.c}"
-        )
-    skipped = marks.marked_channels()
-    if skipped.size:
-        data = fmap.data.copy()
-        data[skipped] = 0.0
-        masked = Tensor(data)
-    else:
-        masked = fmap
-    if recorder is not None:
-        coeffs_per_channel = (block.out_channels // layer.groups) * block.kernel_size ** 2
-        recorder.record(layer.index, layer.kind, fmap.c, int(skipped.size),
-                        fmap.h * fmap.w, int(skipped.size) * coeffs_per_channel)
-    from .inference import conv_forward_fast
-    return conv_forward_fast(masked, layer, block, cfg=cfg)
 
 
 @dataclass

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -100,8 +101,8 @@ def static_prune(model: NetworkModel, epsilon: float) -> NetworkModel:
     Biases and batch-norm statistics are untouched; a new model is returned
     and the input model is left unchanged.
     """
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
+    if not math.isfinite(epsilon) or epsilon < 0:
+        raise ValueError(f"epsilon must be finite and non-negative, got {epsilon}")
     eps = np.float32(epsilon)
     pruned = model.copy()
     for layer, block in zip(pruned.layers, pruned.weights):

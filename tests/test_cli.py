@@ -129,6 +129,24 @@ class TestAnalyzeWeights:
         assert run(base_args(toy, "infer") + ["--mode", "never", str(toy["images"][0])]) == 2
 
 
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("command,extra", [
+        ("infer", ["--mode", "literal", "--epsilon", "nan"]),
+        ("infer", ["--epsilon", "inf"]),
+        ("static-prune", ["--epsilon", "nan", "--out", "never.weights"]),
+        ("analyze-weights", ["--thresholds", "0,nan"]),
+        ("sweep", ["--manifest", "m.tsv", "--thresholds", "0,-inf"]),
+    ])
+    def test_usage_error_without_traceback(self, toy, capsys, command, extra):
+        args = base_args(toy, command) + extra
+        if command == "infer":
+            args.append(str(toy["images"][0]))
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert "finite" in err
+        assert "Traceback" not in err
+
+
 class TestInfer:
     def test_prints_five_deterministic_lines(self, toy, capsys):
         args = base_args(toy, "infer") + ["--names", str(toy["names"]), str(toy["images"][0])]

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from fmprune import (
-    MODE_LITERAL, MODE_MAGNITUDE, LayerSpec, LoadRecorder, PruneConfig,
-    ShapeError, Tensor, WeightBlock, avgpool_forward, connected_forward,
-    conv_forward_fast, conv_forward_reference, epsilon_activate, forward,
-    maxpool_forward, softmax_forward,
+    MODE_LITERAL, MODE_MAGNITUDE, MODE_OFF, LayerSpec, LoadRecorder, PruneConfig,
+    ShapeError, Tensor, WeightBlock, apply_activation, avgpool_forward,
+    connected_forward, conv_forward_fast, conv_forward_reference,
+    epsilon_activate, forward, maxpool_forward, softmax_forward,
 )
 from conftest import build_model, random_input
+from oracles import activation_where, maxpool_loop
 
 
 def literal(eps, leak=0.01):
@@ -65,8 +66,9 @@ class TestEpsilonActivate:
             assert epsilon_activate(once, cfg) == once
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            PruneConfig(epsilon=-0.1)
+        for bad in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                PruneConfig(epsilon=bad, mode=MODE_LITERAL)
         with pytest.raises(ValueError):
             PruneConfig(leak=0.0)
         with pytest.raises(ValueError):
@@ -107,7 +109,7 @@ class TestConvReference:
         assert np.abs(ref.data - fast.data).max() < 1e-5
 
     def test_fast_matches_reference_grouped_and_strided(self, rng):
-        for groups in (1, 4):
+        for groups in (1, 2, 4):
             layer = make_conv(4, 9, 7, 4, 3, stride=2, pad=1, groups=groups, activation="relu")
             block = WeightBlock(rng.normal(size=(4, 4 // groups, 3, 3)).astype(np.float32),
                                 rng.normal(size=4).astype(np.float32))
@@ -138,6 +140,45 @@ class TestOtherLayers:
         out = maxpool_forward(t, 2, 2)
         # windows [0,1] [2,3] [4]; ceil mode keeps the short last window
         assert out.data.ravel().tolist() == [1.0, 3.0, 4.0]
+
+    def test_maxpool_matches_window_loop_bit_for_bit(self, rng):
+        covered = set()
+        for _ in range(300):
+            c, h, w = (int(v) for v in rng.integers(1, 12, size=3))
+            size, stride = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+            data = rng.normal(size=(c, h, w)).astype(np.float32)
+            specials = rng.random(size=data.shape) < 0.05
+            data[specials] = rng.choice([np.nan, np.inf, -np.inf], size=int(specials.sum()))
+            t = Tensor(data)
+            out = maxpool_forward(t, size, stride)
+            assert out.data.tobytes() == maxpool_loop(t, size, stride).data.tobytes()
+            oh = out.h
+            covered.add(("size<stride", size < stride))
+            covered.add(("size>input", size > h))
+            covered.add(("overhang", (oh - 1) * stride + size > h))
+            covered.add(("clamped", (oh - 1) * stride >= h))
+        assert all((kind, True) in covered
+                   for kind in ("size<stride", "size>input", "overhang", "clamped"))
+
+    def test_activation_bit_identical_to_nested_where(self):
+        specials = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 2.5, -2.5,
+                    1e-45, -1e-45, 1e-39, -1e-39, 1e-3, -1e-3, 0.1, -0.1]
+        for eps in (0.0, 0.1):
+            for leak in (0.01, 0.2):
+                band = np.float32(eps)
+                edge = -(np.float32(leak) * band)
+                values = np.array(specials + [band, edge,
+                                              np.nextafter(band, np.float32(1)),
+                                              np.nextafter(band, np.float32(-1)),
+                                              np.nextafter(edge, np.float32(1)),
+                                              np.nextafter(edge, np.float32(-1))],
+                                  dtype=np.float32)
+                for mode in (MODE_OFF, MODE_LITERAL, MODE_MAGNITUDE):
+                    cfg = PruneConfig(epsilon=eps, leak=leak, mode=mode)
+                    for activation in ("linear", "relu", "leaky"):
+                        got = apply_activation(values.copy(), activation, cfg)
+                        want = activation_where(values, activation, cfg)
+                        assert got.tobytes() == want.tobytes(), (eps, leak, mode, activation)
 
     def test_global_avgpool_mean(self):
         out = avgpool_forward(Tensor(np.array([1, 2, 3, 4], np.float32).reshape(1, 2, 2)))

@@ -261,6 +261,18 @@ def test_fold_leaves_input_model_unchanged(rng):
     assert model.weights[0].has_batch_norm
 
 
+def test_fold_shares_blocks_without_batch_norm(rng):
+    text = (BASIC_CONV.replace("pad=1", "pad=1\nbatch_normalize=1")
+            + "\n[convolutional]\nfilters=2\nsize=1\nstride=1\nactivation=relu\n")
+    model = parse_config(text)
+    values = np.concatenate([rng.normal(size=2), np.ones(2), rng.normal(size=2),
+                             np.array([0.7, 1.3]), rng.normal(size=18), rng.normal(size=6)])
+    model = load_weights(weights_blob(model, values=values), model)
+    folded = fold_batch_norm(model)
+    assert folded.weights[0] is not model.weights[0]
+    assert folded.weights[1] is model.weights[1]
+
+
 def test_save_weights_round_trip_bytes(rng):
     text = BASIC_CONV + "\n[connected]\noutputs=3\nactivation=linear\n"
     model = parse_config(text)

@@ -84,8 +84,9 @@ class TestMarkZeroChannels:
             previous = marked
 
     def test_negative_epsilon_rejected(self):
-        with pytest.raises(ValueError):
-            mark_zero_channels(Tensor(np.zeros((1, 1, 1), np.float32)), -0.1)
+        for bad in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                mark_zero_channels(Tensor(np.zeros((1, 1, 1), np.float32)), bad)
 
 
 class TestPrunedConvForward:
@@ -117,16 +118,23 @@ class TestPrunedConvForward:
         assert row.elements_skipped == 36
         assert row.kernel_coeffs_skipped == 4 * 9
 
-    def test_small_value_channel_equals_conv_over_zeroed_input(self, rng):
+    @pytest.mark.parametrize("groups", [1, 2, 4])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_small_value_channel_equals_conv_over_zeroed_input(self, rng, groups, stride, k):
         eps = 0.1
-        layer = make_conv(3, 6, 6, 4, 3, pad=1)
-        block = WeightBlock(rng.normal(size=(4, 3, 3, 3)).astype(np.float32),
-                            rng.normal(size=4).astype(np.float32))
-        t = random_input(rng, (3, 6, 6))
-        t.data[2] = np.abs(t.data[2]) * 0.03 + 0.001  # values in (0, 0.1]
+        c = o = 4
+        cpg = c // groups
+        layer = make_conv(c, 6, 6, o, k, stride=stride, pad=k // 2, groups=groups)
+        block = WeightBlock(rng.normal(size=(o, cpg, k, k)).astype(np.float32),
+                            rng.normal(size=o).astype(np.float32))
+        t = random_input(rng, (c, 6, 6))
+        t.data[2] = rng.uniform(0.001, eps, size=(6, 6))
+        before = t.data.copy()
         marks = mark_zero_channels(t, eps)
         assert marks.marked_channels().tolist() == [2]
         pruned = pruned_conv_forward(t, marks, layer, block)
+        assert np.array_equal(t.data, before)
 
         zeroed = t.copy()
         zeroed.data[2] = 0.0
@@ -134,7 +142,9 @@ class TestPrunedConvForward:
 
         unpruned = conv_forward_fast(t, layer, block)
         assert not np.array_equal(pruned.data, unpruned.data)
-        bound = eps * np.abs(block.weights[:, 2]).sum(axis=(1, 2))  # per output filter
+        # only the filters of channel 2's group read it, through slice 2 % cpg
+        readers = np.arange(o) // (o // groups) == 2 // cpg
+        bound = eps * np.abs(block.weights[:, 2 % cpg]).sum(axis=(1, 2)) * readers
         diff = np.abs(pruned.data - unpruned.data)
         assert (diff <= bound[:, None, None] + 1e-6).all()
 

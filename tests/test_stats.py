@@ -120,6 +120,12 @@ class TestStaticPrune:
         expected = np.array([-0.02, 0.5, 0.0, 0.0], dtype=np.float32)
         assert np.array_equal(pruned.weights[1].weights.ravel()[:4], expected)
 
+    def test_negative_or_non_finite_epsilon_rejected(self, rng):
+        model = build_model(TINY, rng=rng)
+        for bad in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                static_prune(model, bad)
+
     def test_epsilon_zero_is_a_no_op(self, rng):
         model = build_model(TINY, rng=rng)
         pruned = static_prune(model, 0.0)
