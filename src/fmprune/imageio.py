@@ -102,11 +102,14 @@ def to_input_tensor(img: RawImage, target_shape: tuple[int, int, int]) -> Tensor
     c, th, tw = target_shape
     if c != 3:
         raise ShapeError(f"input tensors are RGB: target channels must be 3, got {c}")
-    src = img.pixels.astype(np.float64)
     y0, y1, fy = _bilinear_axis(img.height, th)
     x0, x1, fx = _bilinear_axis(img.width, tw)
-    top = src[y0][:, x0] * (1 - fx)[None, :, None] + src[y0][:, x1] * fx[None, :, None]
-    bottom = src[y1][:, x0] * (1 - fx)[None, :, None] + src[y1][:, x1] * fx[None, :, None]
+    # gather the sampled rows and columns as uint8, then widen only those
+    rows0, rows1 = img.pixels[y0], img.pixels[y1]
+    top = (rows0[:, x0].astype(np.float64) * (1 - fx)[None, :, None]
+           + rows0[:, x1].astype(np.float64) * fx[None, :, None])
+    bottom = (rows1[:, x0].astype(np.float64) * (1 - fx)[None, :, None]
+              + rows1[:, x1].astype(np.float64) * fx[None, :, None])
     resized = top * (1 - fy)[:, None, None] + bottom * fy[:, None, None]
     return Tensor((resized.transpose(2, 0, 1) / 255.0).astype(np.float32))
 

@@ -1,11 +1,13 @@
 """Forward-pass execution with epsilon-threshold activation pruning.
 
 One convolution kernel, an im2col matrix product over all groups, runs
-every convolutional layer; the skip-aware convolution runs through it too.
-It expects batch norm folded into the weights (model.fold_batch_norm). The
-conv and connected kernels return the biased linear map; forward applies
-each layer's activation, which is where the epsilon pruning transform lives
-when a PruneConfig enables it, and then marks the channels within epsilon.
+every convolutional layer; the skip-aware convolution runs through it too,
+handing it the channel marks, so that it gathers and computes on only the
+unmarked channels. It expects batch norm folded into the weights
+(model.fold_batch_norm). The conv and connected kernels return the biased
+linear map; forward applies each layer's activation, which is where the
+epsilon pruning transform lives when a PruneConfig enables it, and then
+marks the channels within epsilon.
 """
 
 from __future__ import annotations
@@ -90,14 +92,23 @@ def apply_activation(values: np.ndarray, activation: str, cfg: PruneConfig) -> n
 
 
 def conv_forward_fast(fmap: Tensor, layer: LayerSpec, block: WeightBlock,
-                      zero_channels: np.ndarray | None = None) -> Tensor:
+                      marked: np.ndarray | None = None) -> Tensor:
     """Biased linear map of a conv layer: im2col + one matmul over all groups.
 
-    The input is padded once into a float64 buffer, in which the patch
-    products accumulate; the result is stored float32. Input channels listed
-    in zero_channels read as exact zeros there, as if the input had been
-    zeroed; the input itself is left unchanged. Batch norm must already be
-    folded into the block's weights and biases (fold_batch_norm).
+    marked, when given, is a boolean mask over the input channels; the
+    result is that of the same convolution over the input with the marked
+    channels replaced by exact zeros, but marked channels are not computed
+    on. Only groups with an unmarked channel are run, and within them only
+    the channel positions unmarked in some run group: those input channels
+    and the matching kernel slices are gathered, and a marked channel left
+    inside that grid (possible only when 1 < groups < channels) is zeroed
+    in the gathered copy. A group that is not run outputs its bias. The
+    input itself is left unchanged.
+
+    The gathered input is padded in float32; the im2col copies widen it to
+    float64, in which the patch products accumulate, and the result is
+    stored float32. Batch norm must already be folded into the block's
+    weights and biases (fold_batch_norm).
     """
     if block.has_batch_norm:
         raise ValueError(f"layer {layer.index}: batch norm is not folded; "
@@ -113,26 +124,45 @@ def conv_forward_fast(fmap: Tensor, layer: LayerSpec, block: WeightBlock,
     if oh < 1 or ow < 1:
         raise ShapeError(f"kernel {k} larger than padded {h}×{w} input")
 
+    x = fmap.data
+    wmat = block.weights.reshape(groups, o // groups, cpg, k * k)
+    if marked is not None and marked.any():
+        grid = marked.reshape(groups, cpg)
+        run = np.flatnonzero(~grid.all(axis=1))
+        grid = grid[run]
+        keep = np.flatnonzero(~grid.all(axis=0))
+        x = np.take(x, (run[:, None] * cpg + keep).reshape(-1), axis=0)
+        inside = grid[:, keep].reshape(-1)
+        if inside.any():
+            x[inside] = 0.0
+        if run.size < groups:
+            wmat = wmat[run]
+        wmat = np.take(wmat, keep, axis=2)
+    g, cg = wmat.shape[0], wmat.shape[2]
+
     if p:
-        buf = np.zeros((c, h + 2 * p, w + 2 * p))
-        buf[:, p:p + h, p:p + w] = fmap.data
+        buf = np.zeros((g * cg, h + 2 * p, w + 2 * p), np.float32)
+        buf[:, p:p + h, p:p + w] = x
     else:
-        buf = fmap.data.astype(np.float64)
-    if zero_channels is not None:
-        buf[zero_channels] = 0.0
+        buf = x
     if k == 1 and s == 1:
-        cols = buf.reshape(groups, cpg, oh * ow)
+        cols = buf.reshape(g, cg, oh * ow).astype(np.float64)
     else:
-        # one strided copy per kernel tap; rows ordered (channel, ky, kx)
-        # to match the weight layout
-        cols = np.empty((c, k, k, oh, ow))
+        # one strided copy per kernel tap, widening to float64; rows ordered
+        # (channel, ky, kx) to match the weight layout
+        cols = np.empty((g * cg, k, k, oh, ow))
         ys, xs = s * (oh - 1) + 1, s * (ow - 1) + 1
         for ky in range(k):
             for kx in range(k):
                 cols[:, ky, kx] = buf[:, ky:ky + ys:s, kx:kx + xs:s]
-        cols = cols.reshape(groups, cpg * k * k, oh * ow)
-    wmat = block.weights.reshape(groups, o // groups, cpg * k * k).astype(np.float64)
-    out = np.matmul(wmat, cols).reshape(o, oh, ow).astype(np.float32)
+        cols = cols.reshape(g, cg * k * k, oh * ow)
+    wmat = wmat.reshape(g, o // groups, cg * k * k).astype(np.float64)
+    if g == groups:
+        out = np.matmul(wmat, cols).astype(np.float32)
+    else:
+        out = np.zeros((groups, o // groups, oh * ow), np.float32)
+        out[run] = np.matmul(wmat, cols)
+    out = out.reshape(o, oh, ow)
     out += block.biases[:, None, None]
     return Tensor(out)
 
@@ -142,11 +172,12 @@ def pruned_conv_forward(fmap: Tensor, marks: ChannelMarkTable, layer: LayerSpec,
     """Convolution (biased linear map) that skips the marked input channels.
 
     The output is identical to running the plain convolution over the input
-    with marked channels replaced by exact zeros; the conv kernel zeroes them
-    in its own buffer, so the input is not copied. Marked channels are not
-    loaded: their plane elements and the kernel slices reading them are
-    counted as skipped, not loaded. Marks may have been computed before a
-    pooling layer, so only the channel count is checked against the input.
+    with marked channels replaced by exact zeros. The conv kernel receives
+    the marks and computes over the unmarked channels only (see
+    conv_forward_fast). Marked channels are not loaded: their plane
+    elements and the kernel slices reading them are counted as skipped, not
+    loaded. Marks may have been computed before a pooling layer, so only
+    the channel count is checked against the input.
     """
     if marks.channels != fmap.c:
         raise ShapeError(
@@ -157,7 +188,7 @@ def pruned_conv_forward(fmap: Tensor, marks: ChannelMarkTable, layer: LayerSpec,
         coeffs_per_channel = (block.out_channels // layer.groups) * block.kernel_size ** 2
         recorder.record(layer.index, layer.kind, fmap.c, int(skipped.size),
                         fmap.h * fmap.w, int(skipped.size) * coeffs_per_channel)
-    return conv_forward_fast(fmap, layer, block, zero_channels=skipped)
+    return conv_forward_fast(fmap, layer, block, marked=marks.aggregate)
 
 
 def maxpool_forward(fmap: Tensor, size: int, stride: int) -> Tensor:

@@ -212,6 +212,101 @@ class TestPrunedConvForward:
             assert (diff <= bound[:, None, None] + 1e-6).all()
 
 
+class TestGatherExactness:
+    """The kernel computes only over unmarked channels; its output must equal,
+    bit for bit, the plain convolution over the input with the marked channels
+    replaced by zeros."""
+
+    @staticmethod
+    def zeroed_reference(t, marks, layer, block):
+        zeroed = t.data.copy()
+        zeroed[marks.aggregate] = 0.0
+        return conv_forward_fast(Tensor(zeroed), layer, block)
+
+    @staticmethod
+    def assert_bitwise_equal(got, expected, case):
+        assert got.shape == expected.shape, case
+        assert np.array_equal(got.view(np.uint32), expected.view(np.uint32)), case
+
+    def test_seeded_random_cases(self):
+        rng = np.random.default_rng(20161018)
+        counts = {"none": 0, "all": 0, "some": 0}
+        for case in range(200):
+            k = int(rng.choice([1, 3]))
+            stride = int(rng.choice([1, 2]))
+            pad = int(rng.choice([0, k // 2]))
+            if k == 1 and rng.random() < 0.5:
+                c, side = int(rng.choice([256, 512, 1024])), int(rng.integers(1, 8))
+            else:
+                c, side = 2 * int(rng.integers(1, 33)), int(rng.integers(3, 13))
+            groups = int(rng.choice([1, 2, c]))
+            o = groups * int(rng.integers(1, 3)) if groups == c else 2 * int(rng.integers(1, 33))
+            share = {0: 0.0, 1: 1.0}.get(case % 10, float(rng.random()))
+            eps = float(rng.choice([0.0, 0.1]))
+            layer = make_conv(c, side, side, o, k, stride=stride, pad=pad, groups=groups)
+            block = WeightBlock(rng.normal(size=(o, c // groups, k, k)).astype(np.float32),
+                                rng.normal(size=o).astype(np.float32))
+            t = random_input(rng, (c, side, side))
+            t.data[np.abs(t.data) <= 0.1] = 0.5  # no channel is within eps unless chosen
+            chosen = rng.random(c) < share
+            t.data[chosen] = rng.choice([0.0, -0.0, eps / 2, -eps], size=(int(chosen.sum()), 1, 1))
+            before = t.data.copy()
+            marks = mark_zero_channels(t, eps)
+            assert np.array_equal(marks.aggregate, chosen)
+            label = f"case {case}: c={c} o={o} groups={groups} k={k} stride={stride} " \
+                    f"pad={pad} side={side} marked={int(chosen.sum())}"
+            got = pruned_conv_forward(t, marks, layer, block).data
+            assert np.array_equal(t.data.view(np.uint32), before.view(np.uint32)), label
+            self.assert_bitwise_equal(got, self.zeroed_reference(t, marks, layer, block).data,
+                                      label)
+            if chosen.all():
+                bias = np.broadcast_to(block.biases[:, None, None], got.shape)
+                self.assert_bitwise_equal(got, bias, label)
+            counts["none" if not chosen.any() else "all" if chosen.all() else "some"] += 1
+        assert min(counts.values()) >= 20, counts
+
+    @pytest.mark.parametrize("groups", [1, 2, 4])
+    def test_marked_negative_zero_channel(self, rng, groups):
+        layer = make_conv(4, 5, 5, 4, 3, pad=1, groups=groups)
+        block = WeightBlock(rng.normal(size=(4, 4 // groups, 3, 3)).astype(np.float32),
+                            rng.normal(size=4).astype(np.float32))
+        t = random_input(rng, (4, 5, 5))
+        t.data[1] = -0.0
+        marks = mark_zero_channels(t, 0.0)
+        assert marks.marked_channels().tolist() == [1]
+        got = pruned_conv_forward(t, marks, layer, block).data
+        self.assert_bitwise_equal(got, self.zeroed_reference(t, marks, layer, block).data,
+                                  f"groups={groups}")
+        assert np.array_equal(got, conv_forward_fast(t, layer, block).data)
+
+    @pytest.mark.parametrize("groups", [1, 3, 6])
+    def test_all_marked_outputs_bias(self, rng, groups):
+        layer = make_conv(6, 4, 4, 6, 3, stride=2, pad=1, groups=groups)
+        block = WeightBlock(rng.normal(size=(6, 6 // groups, 3, 3)).astype(np.float32),
+                            rng.normal(size=6).astype(np.float32))
+        t = Tensor(np.zeros((6, 4, 4), np.float32))
+        got = pruned_conv_forward(t, mark_zero_channels(t, 0.0), layer, block).data
+        self.assert_bitwise_equal(got, np.broadcast_to(block.biases[:, None, None], got.shape),
+                                  f"groups={groups}")
+
+    def test_marked_channel_inside_the_gathered_grid(self, rng):
+        # groups=2, 3 channels each: position 0 is marked only in group 0 and
+        # position 2 only in group 1, so both positions are gathered and each
+        # group carries one marked channel that the kernel must zero
+        layer = make_conv(6, 5, 5, 4, 3, pad=1, groups=2)
+        block = WeightBlock(rng.normal(size=(4, 3, 3, 3)).astype(np.float32),
+                            rng.normal(size=4).astype(np.float32))
+        t = random_input(rng, (6, 5, 5))
+        t.data[0] = 0.05
+        t.data[5] = -0.05
+        marks = mark_zero_channels(t, 0.1)
+        assert marks.marked_channels().tolist() == [0, 5]
+        got = pruned_conv_forward(t, marks, layer, block).data
+        self.assert_bitwise_equal(got, self.zeroed_reference(t, marks, layer, block).data,
+                                  "grid")
+        assert not np.array_equal(got, conv_forward_fast(t, layer, block).data)
+
+
 class TestRecorderAndSavings:
     def test_conservation(self, rng):
         layer = make_conv(5, 4, 4, 2, 1)
