@@ -176,12 +176,13 @@ class SweepResult:
 def epsilon_sweep(model: NetworkModel, manifest: DatasetManifest, epsilons,
                   leak: float = 0.01, mode: str = MODE_LITERAL) -> SweepResult:
     """Evaluate at each epsilon with load recording; report deltas versus
-    the unpruned baseline and the per-layer bandwidth series. The epsilon
-    list is checked (require_sorted) before any image is read."""
+    the unpruned baseline at the same leak and the per-layer bandwidth
+    series. The epsilon list is checked (require_sorted) before any image
+    is read."""
     if mode == MODE_OFF:
         raise ValueError("epsilon_sweep needs a pruning mode, not 'off'")
     eps_list = require_sorted(epsilons)
-    baseline = evaluate(model, manifest, PruneConfig())
+    baseline = evaluate(model, manifest, PruneConfig(leak=leak))
     base1, base5 = baseline.accuracies[1], baseline.accuracies[5]
     rows = []
     for eps in eps_list:

@@ -50,43 +50,38 @@ class PruneConfig:
             raise ValueError(f"unknown prune mode {self.mode!r}")
 
 
-def _epsilon_activate_array(values: np.ndarray, cfg: PruneConfig) -> np.ndarray:
-    eps = np.float32(cfg.epsilon)
-    leak = np.float32(cfg.leak)
-    if cfg.mode == MODE_LITERAL:
-        return np.where(values > eps, values,
-                        np.where(values >= -(leak * eps), _F32_ZERO, leak * values))
-    y = np.where(values > _F32_ZERO, values, leak * values)
-    return np.where(np.abs(y) > eps, y, _F32_ZERO)
-
-
 def apply_activation(values: np.ndarray, activation: str, cfg: PruneConfig) -> np.ndarray:
     """Apply a named layer activation, routed through epsilon pruning when on.
 
-    relu feeds its non-negative output into the epsilon transform; leaky is
-    the epsilon transform itself (which embeds the leak), or leaky relu with
-    cfg.leak when pruning is off; linear is never transformed, so epsilon
-    pruning on linear layers happens only through channel marking downstream.
-    relu rectifies in place: forward passes it a kernel's fresh output.
+    relu and leaky (with cfg.leak) compute y; "off" returns it and
+    "magnitude" zeroes the values of y within epsilon in magnitude.
+    "literal" thresholds the raw values: leaky keeps v > eps, zeroes
+    [-leak*eps, eps] and leaks below; relu zeroes the rectified [0, eps].
+    linear is never transformed (epsilon acts on it only through channel
+    marking). relu rectifies in place: forward passes a kernel's fresh output.
     """
     if activation == "linear":
         return values
-    pruning = cfg.mode != MODE_OFF
+    eps = np.float32(cfg.epsilon)
+    leak = np.float32(cfg.leak)
+    literal = cfg.mode == MODE_LITERAL
     if activation == "relu":
-        rectified = np.maximum(values, _F32_ZERO, out=values)
-        if not pruning:
-            return rectified
-        if cfg.mode == MODE_LITERAL:
+        y = np.maximum(values, _F32_ZERO, out=values)
+        if literal:
             # Rectified values are +0 or above (or NaN), so the literal
             # transform only zeroes [0, eps]. Multiplying by the mask keeps
             # NaN, which np.where(v > eps, v, 0) would turn into 0.
-            return np.multiply(rectified, rectified > np.float32(cfg.epsilon), out=rectified)
-        return _epsilon_activate_array(rectified, cfg)
-    if activation == "leaky":
-        if pruning:
-            return _epsilon_activate_array(values, cfg)
-        return np.where(values > _F32_ZERO, values, np.float32(cfg.leak) * values)
-    raise ValueError(f"unsupported activation {activation!r}")
+            return np.multiply(y, y > eps, out=y)
+    elif activation == "leaky":
+        if literal:
+            return np.where(values > eps, values,
+                            np.where(values >= -(leak * eps), _F32_ZERO, leak * values))
+        y = np.where(values > _F32_ZERO, values, leak * values)
+    else:
+        raise ValueError(f"unsupported activation {activation!r}")
+    if cfg.mode == MODE_OFF:
+        return y
+    return np.where(np.abs(y) > eps, y, _F32_ZERO)
 
 
 def conv_forward_fast(fmap: Tensor, layer: LayerSpec, block: WeightBlock,
@@ -249,10 +244,11 @@ def forward(model: NetworkModel, image: Tensor, cfg: PruneConfig | None = None,
     by the layers before it or None. Each conv and connected layer's kernel
     output goes through the layer's activation here, once. With pruning
     enabled, that output is then channel marked and the next convolutional
-    layer skips the marked channels. Marks survive pooling (channel count
-    and the within-epsilon property are both preserved) and are discarded at
-    connected/softmax boundaries. The recorder, when given, receives one
-    load event per convolutional layer per image, pruned or not.
+    layer skips the marked channels; a connected layer's output is marked
+    too. Marks survive pooling (channel count and the within-epsilon
+    property are both preserved) and are discarded only at softmax. The
+    recorder, when given, receives one load event per convolutional layer
+    per image, pruned or not.
     """
     cfg = cfg if cfg is not None else PruneConfig()
     if image.shape != tuple(model.input_shape):

@@ -147,11 +147,7 @@ class LoadRecorder:
 @dataclass
 class LayerSavings:
     layer_index: int
-    layer_kind: str
-    channels_total: int
-    channels_skipped: int
     saved_fraction: float
-    elements_total: int
     elements_loaded: int
     megabits_loaded: float
     megabits_total: float
@@ -159,55 +155,37 @@ class LayerSavings:
 
 @dataclass
 class SavingsReport:
-    """Aggregated load savings across every recorded image."""
+    """Load savings summed over every recorded image."""
 
     per_layer: list[LayerSavings]
-    images: int
-    channels_total: int
-    channels_skipped: int
     saved_fraction: float
-    megabits_loaded: float
-    megabits_total: float
 
 
 def savings_ratio(recorder: LoadRecorder) -> SavingsReport:
     """Per-layer and total saved-load fractions from a populated recorder.
 
-    The total saved fraction is skipped channel-loads over the channel-loads
-    an unpruned run would perform; the per-layer rows carry the mega-bit
-    series needed for layer-by-layer bandwidth plots.
+    One pass over the rows sums, per layer index, the channels, skipped
+    channels, elements and loaded elements. The total saved fraction is
+    skipped channel-loads over the channel-loads an unpruned run would
+    perform; the per-layer rows carry the mega-bit series needed for
+    layer-by-layer bandwidth plots.
     """
     if not recorder.rows:
         raise ValueError("recorder is empty: the savings ratio is undefined")
-    by_layer: dict[int, list[LoadRow]] = {}
+    sums: dict[int, list[int]] = {}
     for row in recorder.rows:
-        by_layer.setdefault(row.layer_index, []).append(row)
-    per_layer = []
-    for index in sorted(by_layer):
-        rows = by_layer[index]
-        total = sum(r.channels_total for r in rows)
-        skipped = sum(r.channels_skipped for r in rows)
-        elements_total = sum(r.elements_total for r in rows)
-        elements_loaded = sum(r.elements_loaded for r in rows)
-        per_layer.append(LayerSavings(
-            layer_index=index,
-            layer_kind=rows[0].layer_kind,
-            channels_total=total,
-            channels_skipped=skipped,
-            saved_fraction=skipped / total,
-            elements_total=elements_total,
-            elements_loaded=elements_loaded,
-            megabits_loaded=elements_loaded * FLOAT_BITS / 1e6,
-            megabits_total=elements_total * FLOAT_BITS / 1e6,
-        ))
-    channels_total = sum(r.channels_total for r in per_layer)
-    channels_skipped = sum(r.channels_skipped for r in per_layer)
-    return SavingsReport(
-        per_layer=per_layer,
-        images=len({r.image for r in recorder.rows}),
-        channels_total=channels_total,
-        channels_skipped=channels_skipped,
-        saved_fraction=channels_skipped / channels_total,
-        megabits_loaded=sum(r.megabits_loaded for r in per_layer),
-        megabits_total=sum(r.megabits_total for r in per_layer),
-    )
+        layer = sums.setdefault(row.layer_index, [0, 0, 0, 0])
+        layer[0] += row.channels_total
+        layer[1] += row.channels_skipped
+        layer[2] += row.elements_total
+        layer[3] += row.elements_loaded
+    per_layer = [LayerSavings(
+        layer_index=index,
+        saved_fraction=skipped / channels,
+        elements_loaded=loaded,
+        megabits_loaded=loaded * FLOAT_BITS / 1e6,
+        megabits_total=elements * FLOAT_BITS / 1e6,
+    ) for index, (channels, skipped, elements, loaded) in sorted(sums.items())]
+    channels = sum(layer[0] for layer in sums.values())
+    skipped = sum(layer[1] for layer in sums.values())
+    return SavingsReport(per_layer=per_layer, saved_fraction=skipped / channels)

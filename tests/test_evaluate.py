@@ -220,6 +220,38 @@ activation=linear
 """
 
 
+LEAKY_NET = """
+[net]
+height=1
+width=1
+channels=2
+
+[convolutional]
+filters=2
+size=1
+stride=1
+activation=leaky
+
+[connected]
+outputs=2
+activation=linear
+
+[softmax]
+"""
+
+
+def leak_sensitive_case(tmp_path):
+    """A leaky conv whose one image is class 1 at leak 0.5 but class 0 at 0.01.
+
+    The conv is the identity and the scores are (h0, -h1), so the input
+    (0.1, -1) scores (0.1, leak): class 1 wins only when leak > 0.1.
+    """
+    model = build_model(LEAKY_NET, values=[0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, -1])
+    path = tmp_path / "img.bin"
+    write_raw_tensor(Tensor(np.array([0.1, -1.0], np.float32).reshape(2, 1, 1)), path)
+    return model, DatasetManifest([ManifestEntry(str(path), 1)])
+
+
 def constant_channel_model(constant=0.05):
     """First conv has one channel pinned to a small constant, rest way above."""
     model = parse_config(SWEEP_NET)
@@ -245,10 +277,16 @@ class TestSweep:
             entries.append(ManifestEntry(str(path), i % 3))
         return DatasetManifest(entries)
 
-    def test_epsilon_zero_has_exactly_zero_delta(self, tmp_path, rng):
-        model = build_model(SWEEP_NET, rng=rng)
-        manifest = self.make_dataset(tmp_path, model)
-        result = epsilon_sweep(model, manifest, [0.0])
+    @pytest.mark.parametrize("leak", [0.01, 0.5], ids=["relu", "leaky"])
+    def test_epsilon_zero_has_exactly_zero_delta(self, tmp_path, rng, leak):
+        # the baseline runs at the sweep's leak, so a leaky net that changes
+        # its answer with the leak still loses nothing at epsilon 0
+        if leak == 0.01:
+            model = build_model(SWEEP_NET, rng=rng)
+            manifest = self.make_dataset(tmp_path, model)
+        else:
+            model, manifest = leak_sensitive_case(tmp_path)
+        result = epsilon_sweep(model, manifest, [0.0], leak=leak)
         assert result.rows[0].top1_loss == 0.0
         assert result.rows[0].top5_loss == 0.0
 

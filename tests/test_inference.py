@@ -6,7 +6,7 @@ from fmprune import (
     ShapeError, Tensor, WeightBlock, apply_activation, avgpool_forward,
     connected_forward, conv_forward_fast, forward, maxpool_forward, softmax_forward,
 )
-from conftest import build_model, random_input
+from conftest import build_model, random_input, random_relu_net
 from oracles import activation_where, conv_forward_reference, epsilon_activate, maxpool_loop
 
 
@@ -230,6 +230,32 @@ activation=relu
 """
 
 
+# the connected layer's output (6x1x1) is marked like a conv layer's
+CONNECTED_THEN_CONV = """
+[net]
+height=3
+width=3
+channels=1
+
+[convolutional]
+filters=2
+size=3
+stride=1
+pad=1
+activation=relu
+
+[connected]
+outputs=6
+activation=relu
+
+[convolutional]
+filters=2
+size=1
+stride=1
+activation=linear
+"""
+
+
 class TestForward:
     def test_composition_matches_manual_layer_calls(self, rng):
         model = build_model(TOY_NET, rng=rng)
@@ -293,3 +319,30 @@ class TestForward:
         plain = forward(model, image)
         pruned = forward(model, image, literal(0.0))
         assert np.array_equal(plain.data, pruned.data)
+
+    def test_magnitude_epsilon_zero_identity_on_random_nets(self):
+        rng = np.random.default_rng(5)
+        skipped = 0
+        for case in range(200):
+            model = random_relu_net(rng)
+            if case % 2:
+                for layer in model.layers:
+                    if layer.kind == "convolutional":
+                        layer.activation = "leaky"
+            image = random_input(rng, model.input_shape)
+            recorder = LoadRecorder()
+            pruned = forward(model, image, PruneConfig(0.0, mode=MODE_MAGNITUDE), recorder=recorder)
+            assert np.array_equal(forward(model, image).data, pruned.data), case
+            skipped += sum(r.channels_skipped for r in recorder.rows)
+        assert skipped > 0
+
+    def test_conv_after_connected_skips_its_zero_outputs(self, rng):
+        model = build_model(CONNECTED_THEN_CONV, rng=rng)
+        outputs = {}
+        recorder = LoadRecorder()
+        forward(model, random_input(rng, model.input_shape), literal(0.0), recorder=recorder,
+                layer_tap=lambda layer, x: outputs.setdefault(layer.index, x.data.copy()))
+        zeros = int(np.count_nonzero(outputs[1] == 0))
+        assert zeros > 0
+        assert [r.layer_index for r in recorder.rows] == [0, 2]
+        assert recorder.rows[1].channels_skipped == zeros
