@@ -76,10 +76,9 @@ def load_ppm(source) -> RawImage:
         raise PPMError("malformed PPM header: maxval not followed by whitespace")
     pos += 1
     need = 3 * width * height
-    body = data[pos:pos + need]
-    if len(body) < need:
-        raise PPMError(f"truncated pixel data: need {need} bytes, got {len(body)}")
-    pixels = np.frombuffer(body, dtype=np.uint8).reshape(height, width, 3).copy()
+    if len(data) - pos < need:
+        raise PPMError(f"truncated pixel data: need {need} bytes, got {len(data) - pos}")
+    pixels = np.frombuffer(data, np.uint8, count=need, offset=pos).reshape(height, width, 3).copy()
     return RawImage(width=width, height=height, pixels=pixels)
 
 
@@ -93,25 +92,49 @@ def _bilinear_axis(length: int, target: int) -> tuple[np.ndarray, np.ndarray, np
     return lo, hi, frac
 
 
+def _sample(a: np.ndarray, index: np.ndarray, axis: int) -> np.ndarray:
+    # a itself when the index takes every entry in order (source length = target)
+    return a if index.size == a.shape[axis] else np.take(a, index, axis=axis)
+
+
+def _planar(pixels: np.ndarray) -> np.ndarray:
+    # (H, W, 3) uint8 -> C-contiguous (3, H, W) float64
+    return pixels.transpose(2, 0, 1).astype(np.float64, order="C")
+
+
+def _blend(a: np.ndarray, b: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    # a*(1-frac) + b*frac, computed in a's storage
+    a *= 1 - frac
+    b *= frac
+    a += b
+    return a
+
+
 def to_input_tensor(img: RawImage, target_shape: tuple[int, int, int]) -> Tensor:
     """Bilinear-resize to the model input plane and scale to [0, 1].
 
     Output is planar RGB (channel 0 = red) of exactly target_shape; the
-    target must have 3 channels.
+    target must have 3 channels. The sampled rows and then columns are
+    gathered as interleaved uint8, and only those are widened, to planar
+    float64. An axis whose bilinear fractions are all 0 (one whose source
+    length equals the target, for example) samples whole pixels and skips
+    its blend, which would give a*(1-0) + b*0 = a exactly.
     """
     c, th, tw = target_shape
     if c != 3:
         raise ShapeError(f"input tensors are RGB: target channels must be 3, got {c}")
     y0, y1, fy = _bilinear_axis(img.height, th)
     x0, x1, fx = _bilinear_axis(img.width, tw)
-    # gather the sampled rows and columns as uint8, then widen only those
-    rows0, rows1 = img.pixels[y0], img.pixels[y1]
-    top = (rows0[:, x0].astype(np.float64) * (1 - fx)[None, :, None]
-           + rows0[:, x1].astype(np.float64) * fx[None, :, None])
-    bottom = (rows1[:, x0].astype(np.float64) * (1 - fx)[None, :, None]
-              + rows1[:, x1].astype(np.float64) * fx[None, :, None])
-    resized = top * (1 - fy)[:, None, None] + bottom * fy[:, None, None]
-    return Tensor((resized.transpose(2, 0, 1) / 255.0).astype(np.float32))
+
+    def columns(rows):
+        left = _planar(_sample(rows, x0, 1))
+        return _blend(left, _planar(np.take(rows, x1, axis=1)), fx) if fx.any() else left
+
+    resized = columns(_sample(img.pixels, y0, 0))
+    if fy.any():
+        resized = _blend(resized, columns(np.take(img.pixels, y1, axis=0)), fy[:, None])
+    resized /= 255.0
+    return Tensor(resized.astype(np.float32))
 
 
 def load_input(path, target_shape: tuple[int, int, int]) -> Tensor:

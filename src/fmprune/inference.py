@@ -12,6 +12,8 @@ enables it, and then marks the channels within epsilon.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +27,55 @@ MODE_LITERAL = "literal"
 MODE_MAGNITUDE = "magnitude"
 
 _F32_ZERO = np.float32(0.0)
-# byte budget of the float64 patch rows conv_forward_fast builds at once
+# byte budget of the patch rows conv_forward_fast builds at once
 _BLOCK_BYTES = 1 << 20
+# Most kernel taps K that conv_forward_fast sums in float32, in a layer
+# whose groups each read one input channel. A float32 sum of K products is
+# within K·2⁻²⁴·Σ|w·x| of the exact sum (to first order), and K·2⁻²⁴ ≤ 1e-6,
+# a tenth of acceptance criterion 2's 1e-5, gives K ≤ 16: every 3×3
+# depth-wise layer (K = 9) qualifies, a 5×5 one (K = 25) stays float64.
+# With more than one channel per group, the channel gather changes K and so
+# the float32 rounding, which would break the bit-exact skip; those layers
+# stay float64 whatever K is.
+_F32_MAX_TAPS = int(1e-6 * 2 ** 24)
+
+
+class _Scratch(threading.local):
+    """One thread's reusable memory for the temporaries of conv_forward_fast.
+
+    A call starts with begin() and takes each temporary from one arena with
+    array(). A call that needs more than the arena holds gets fresh arrays
+    for the rest, and the next begin() replaces the arena by one that holds
+    the largest total a call has needed, dropping the old arena first so
+    the two never coexist. A steady-state call thus allocates no
+    temporaries. An array stays valid only until the next begin() in the
+    same thread, so nothing that leaves conv_forward_fast may live in it.
+    """
+
+    def __init__(self):
+        self.arena = np.empty(0, np.uint8)
+        self.used = 0
+        self.needed = 0
+
+    def begin(self) -> None:
+        if self.needed > self.arena.size:
+            self.arena = np.empty(0, np.uint8)  # free the old arena first
+            self.arena = np.empty(self.needed, np.uint8)
+        self.used = 0
+
+    def array(self, shape: tuple, dtype) -> np.ndarray:
+        """An uninitialised C-contiguous array: 64-byte aligned in the arena,
+        or a fresh array once this call has outgrown the arena."""
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        start = -(-self.used // 64) * 64
+        self.used = start + nbytes
+        self.needed = max(self.needed, self.used)
+        if self.used > self.arena.size:
+            return np.empty(shape, dtype)
+        return self.arena[start:self.used].view(dtype).reshape(shape)
+
+
+_SCRATCH = _Scratch()
 
 
 @dataclass
@@ -102,15 +151,24 @@ def conv_forward_fast(fmap: Tensor, layer: LayerSpec, block: WeightBlock,
     left unchanged.
 
     The gathered input is padded in float32. The run groups are then taken
-    in blocks of as many whole groups as fit their float64 patch rows into
+    in blocks of as many whole groups as fit their patch rows into
     _BLOCK_BYTES (at least one group, so a dense layer is a single block):
-    one copy from a strided window view of the input widens the block's
-    patch rows to float64 in one reused buffer, and one stacked matmul with
-    the block's kernels accumulates the patch products in float64 while
-    the patch matrix is still in cache. Each group's product is independent
-    of the others in its stack, so the block size never changes a bit of the
-    result, which is stored float32. Batch norm must already be folded into
-    the block's weights and biases (fold_batch_norm).
+    one copy from a strided window view of the input writes the block's
+    patch rows into one reused buffer, and one stacked matmul with the
+    block's kernels accumulates the patch products while the patch matrix
+    is still in cache. The products are accumulated in float64 (the patch
+    rows and kernels widened), except in a layer whose groups each read one
+    input channel through at most _F32_MAX_TAPS taps, such as a 3×3
+    depth-wise layer, which accumulates in float32 straight into the
+    output. Each group's product is independent of the others in its
+    stack, so the block size never changes a bit of the result, which is
+    stored float32. Batch norm must already be folded into the block's
+    weights and biases (fold_batch_norm).
+
+    Every temporary (gathered and padded input, gathered and widened
+    kernels, patch rows and float64 products) lives in this thread's
+    scratch arena (_Scratch), so a steady-state call allocates only its
+    output, which is always a fresh array.
     """
     if block.has_batch_norm:
         raise ValueError(f"layer {layer.index}: batch norm is not folded; "
@@ -126,29 +184,47 @@ def conv_forward_fast(fmap: Tensor, layer: LayerSpec, block: WeightBlock,
     if oh < 1 or ow < 1:
         raise ShapeError(f"kernel {k} larger than padded {h}×{w} input")
 
+    scratch = _SCRATCH
+    scratch.begin()
     x = fmap.data
-    wmat = block.weights.reshape(groups, o // groups, cpg, k * k)
+    fpg = o // groups
+    wmat = block.weights.reshape(groups, fpg, cpg, k * k)
+    g, cg = groups, cpg
     if marked is not None and marked.any():
         grid = marked.reshape(groups, cpg)
         run = np.flatnonzero(~grid.all(axis=1))
         grid = grid[run]
         keep = np.flatnonzero(~grid.all(axis=0))
-        x = np.take(x, (run[:, None] * cpg + keep).reshape(-1), axis=0)
+        g, cg = run.size, keep.size
+        # mode="clip" (the indices are in range) lets take write into out unbuffered
+        x = np.take(x, (run[:, None] * cpg + keep).reshape(-1), axis=0, mode="clip",
+                    out=scratch.array((g * cg, h, w), np.float32))
         inside = grid[:, keep].reshape(-1)
         if inside.any():
             x[inside] = 0.0
-        if run.size < groups:
-            wmat = wmat[run]
-        wmat = np.take(wmat, keep, axis=2)
-    g, cg = wmat.shape[0], wmat.shape[2]
+        if g < groups:
+            wmat = np.take(wmat, run, axis=0, mode="clip",
+                           out=scratch.array((g, fpg, cpg, k * k), np.float32))
+        if cg < cpg:
+            wmat = np.take(wmat, keep, axis=2, mode="clip",
+                           out=scratch.array((g, fpg, cg, k * k), np.float32))
 
     if p:
-        buf = np.zeros((g * cg, h + 2 * p, w + 2 * p), np.float32)
+        buf = scratch.array((g * cg, h + 2 * p, w + 2 * p), np.float32)
+        # the buffer holds stale values: zero the border, then copy the inside
+        buf[:, :p] = buf[:, -p:] = 0.0
+        buf[:, :, :p] = buf[:, :, -p:] = 0.0
         buf[:, p:p + h, p:p + w] = x
     else:
         buf = x
-    fpg, rows = o // groups, cg * k * k
-    wmat = wmat.reshape(g, fpg, rows).astype(np.float64)
+    rows = cg * k * k
+    dtype = np.float32 if cpg == 1 and k * k <= _F32_MAX_TAPS else np.float64
+    if dtype is np.float32:
+        wmat = wmat.reshape(g, fpg, rows)
+    else:
+        wide = scratch.array((g, fpg, rows), np.float64)
+        wide[...] = wmat.reshape(g, fpg, rows)
+        wmat = wide
     # a group that is not run outputs zeros before the bias
     out = (np.empty if g == groups else np.zeros)((groups, fpg, oh * ow), np.float32)
     # taps[c, ky, kx, y, x] = buf[c, ky + s*y, kx + s*x]: a view of the patch
@@ -157,17 +233,25 @@ def conv_forward_fast(fmap: Tensor, layer: LayerSpec, block: WeightBlock,
     taps = np.ndarray((g * cg, k, k, oh, ow), np.float32, buffer=buf,
                       strides=(sc, sy, sx, s * sy, s * sx))
     # groups per block; rows is 0 only when every group is marked (g = 0)
-    step = max(1, _BLOCK_BYTES // (8 * max(rows, 1) * oh * ow))
-    patches = np.empty((min(step, g) * cg, k, k, oh, ow))
+    step = max(1, _BLOCK_BYTES // (np.dtype(dtype).itemsize * max(rows, 1) * oh * ow))
+    patches = scratch.array((min(step, g) * cg, k, k, oh, ow), dtype)
+    # float32 products of a layer that runs every group go straight into out
+    direct = dtype is np.float32 and g == groups
+    if not direct:
+        prod = scratch.array((min(step, g), fpg, oh * ow), dtype)
     for g0 in range(0, g, step):
         g1 = min(g0 + step, g)
         cols = patches[:(g1 - g0) * cg]
         cols[...] = taps[g0 * cg:g1 * cg]
-        prod = np.matmul(wmat[g0:g1], cols.reshape(g1 - g0, rows, oh * ow))
+        cols = cols.reshape(g1 - g0, rows, oh * ow)
+        if direct:
+            np.matmul(wmat[g0:g1], cols, out=out[g0:g1])
+            continue
+        np.matmul(wmat[g0:g1], cols, out=prod[:g1 - g0])
         if g == groups:
-            out[g0:g1] = prod
+            out[g0:g1] = prod[:g1 - g0]
         else:
-            out[run[g0:g1]] = prod
+            out[run[g0:g1]] = prod[:g1 - g0]
     out = out.reshape(o, oh, ow)
     out += block.biases[:, None, None]
     return Tensor(out)

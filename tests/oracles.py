@@ -125,3 +125,53 @@ def activation_where(values: np.ndarray, activation: str,
         return _epsilon_where(values, cfg)
     leak = np.float32(cfg.leak if cfg is not None else 0.01)
     return np.where(values > _F32_ZERO, values, leak * values)
+
+
+def conv_sums_float64(fmap: Tensor, layer: LayerSpec, block: WeightBlock):
+    """A conv layer's sums without bias, in float64, one tap at a time.
+
+    Returns (sums, magnitudes): Σ w·x over each output's group channels and
+    kernel taps in (channel, ky, kx) order, and Σ |w·x| over the same
+    terms, padding reading as zero. Each product of two float32 values is
+    exact in float64.
+    """
+    _, h, w = fmap.shape
+    o, cpg, k = block.out_channels, block.in_channels_per_group, block.kernel_size
+    s, p = layer.stride, layer.padding
+    oh = (h + 2 * p - k) // s + 1
+    ow = (w + 2 * p - k) // s + 1
+    fpg = o // layer.groups
+    x = np.pad(fmap.data.astype(np.float64), ((0, 0), (p, p), (p, p)))
+    sums = np.zeros((o, oh, ow))
+    magnitudes = np.zeros((o, oh, ow))
+    for f in range(o):
+        c0 = (f // fpg) * cpg
+        for ci in range(cpg):
+            for ky in range(k):
+                for kx in range(k):
+                    term = (float(block.weights[f, ci, ky, kx])
+                            * x[c0 + ci, ky:ky + s * (oh - 1) + 1:s, kx:kx + s * (ow - 1) + 1:s])
+                    sums[f] += term
+                    magnitudes[f] += np.abs(term)
+    return sums, magnitudes
+
+
+def bilinear_resize_formula(pixels: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Half-pixel-center bilinear resize of (H, W, 3) uint8 pixels, scaled to
+    [0, 1]: both blends of every axis on the interleaved layout in float64,
+    then planar float32."""
+
+    def axis(length, target):
+        coords = (np.arange(target, dtype=np.float64) + 0.5) * (length / target) - 0.5
+        coords = np.clip(coords, 0.0, length - 1)
+        lo = np.floor(coords).astype(np.int64)
+        return lo, np.minimum(lo + 1, length - 1), coords - lo
+
+    y0, y1, fy = axis(pixels.shape[0], height)
+    x0, x1, fx = axis(pixels.shape[1], width)
+    src = pixels.astype(np.float64)
+    wx0, wx1 = (1 - fx)[None, :, None], fx[None, :, None]
+    top = src[y0][:, x0] * wx0 + src[y0][:, x1] * wx1
+    bottom = src[y1][:, x0] * wx0 + src[y1][:, x1] * wx1
+    resized = top * (1 - fy)[:, None, None] + bottom * fy[:, None, None]
+    return (resized.transpose(2, 0, 1) / 255.0).astype(np.float32)

@@ -5,6 +5,7 @@ from fmprune import (
     PPMError, RawImage, ShapeError, Tensor, load_input, load_ppm, to_input_tensor,
 )
 from conftest import write_ppm, write_raw_tensor
+from oracles import bilinear_resize_formula
 
 
 def ppm_bytes(width, height, pixels, header=b"P6"):
@@ -34,7 +35,7 @@ def test_header_errors():
 
 
 def test_truncated_body():
-    with pytest.raises(PPMError):
+    with pytest.raises(PPMError, match="truncated pixel data: need 12 bytes, got 11"):
         load_ppm(ppm_bytes(2, 2, [0] * 11))
 
 
@@ -107,3 +108,29 @@ def test_load_input_dispatches_by_extension(tmp_path):
     assert np.allclose(t.data, 0.5)
     with pytest.raises(ShapeError):
         load_input(raw, (2, 4, 4))
+
+
+def test_decoded_pixels_are_a_writable_copy():
+    data = ppm_bytes(2, 1, range(6))
+    img = load_ppm(data)
+    assert img.pixels.flags.writeable
+    assert not np.shares_memory(img.pixels, np.frombuffer(data, np.uint8))
+    img.pixels[0, 0, 0] = 9
+
+
+@pytest.mark.parametrize("size,target", [
+    ((224, 224), (224, 224)),   # both axes exact, every index the identity
+    ((224, 300), (224, 224)),   # rows exact, columns blended
+    ((300, 224), (224, 224)),   # columns exact, rows blended
+    ((12, 15), (4, 5)),         # both exact at a third of the size: a gather, no blend
+    ((256, 256), (227, 227)),
+    ((60, 80), (17, 23)),
+    ((1, 1), (4, 4)),
+])
+def test_resize_is_bit_identical_to_the_blend_formula(size, target):
+    pixels = np.random.default_rng(list(size + target)).integers(
+        0, 256, size=size + (3,), dtype=np.uint8)
+    t = to_input_tensor(RawImage(size[1], size[0], pixels), (3,) + target)
+    expected = bilinear_resize_formula(pixels, *target)
+    assert t.data.flags.c_contiguous
+    assert np.array_equal(t.data.view(np.uint32), expected.view(np.uint32))

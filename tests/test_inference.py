@@ -1,13 +1,20 @@
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from fmprune import (
     MODE_LITERAL, MODE_MAGNITUDE, MODE_OFF, LayerSpec, LoadRecorder, PruneConfig,
     ShapeError, Tensor, WeightBlock, apply_activation, avgpool_forward,
-    connected_forward, conv_forward_fast, forward, maxpool_forward, softmax_forward,
+    connected_forward, conv_forward_fast, forward, mark_zero_channels, maxpool_forward,
+    softmax_forward,
 )
-from conftest import build_model, random_input, random_relu_net
-from oracles import activation_where, conv_forward_reference, epsilon_activate, maxpool_loop
+from conftest import build_model, conv_block, random_input, random_relu_net
+from oracles import (
+    activation_where, conv_forward_reference, conv_sums_float64, epsilon_activate, maxpool_loop,
+)
 
 
 def literal(eps, leak=0.01):
@@ -348,3 +355,202 @@ class TestForward:
         assert zeros > 0
         assert [r.layer_index for r in recorder.rows] == [0, 2]
         assert recorder.rows[1].channels_skipped == zeros
+
+
+# MobileNet-shaped: a dense stem, then 3×3 depth-wise and 1×1 point-wise pairs
+MOBILE_NET = """
+[net]
+height=16
+width=16
+channels=3
+
+[convolutional]
+filters=8
+size=3
+stride=2
+pad=1
+activation=relu
+
+[convolutional]
+filters=8
+size=3
+stride=1
+pad=1
+groups=8
+activation=relu
+
+[convolutional]
+filters=16
+size=1
+stride=1
+activation=relu
+
+[convolutional]
+filters=16
+size=3
+stride=2
+pad=1
+groups=16
+activation=relu
+
+[convolutional]
+filters=12
+size=1
+stride=1
+activation=relu
+
+[avgpool]
+
+[connected]
+outputs=10
+activation=linear
+
+[softmax]
+"""
+
+
+def mobile_net(rng):
+    """MOBILE_NET with random weights and about a third of each conv layer's
+    channels dead (zero weights, negative bias), so marks reach every layer."""
+    model = build_model(MOBILE_NET, rng=rng)
+    for i, (layer, block) in enumerate(zip(model.layers, model.weights)):
+        if layer.kind == "convolutional":
+            weights, biases = block.weights.copy(), block.biases.copy()
+            dead = rng.random(layer.filters) < 0.35
+            weights[dead] = 0.0
+            biases[dead] = -1.0
+            model.weights[i] = WeightBlock(weights, biases)
+    return model
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint32)
+
+
+def in_new_thread(fn):
+    """fn's result, run in a fresh thread, which starts with empty scratch memory."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn).result(timeout=60)
+
+
+class TestConvScratch:
+    """conv_forward_fast keeps its temporaries in per-thread scratch memory
+    that is reused across calls: nothing a caller holds may live there, and
+    reuse must never change a bit."""
+
+    def test_tapped_outputs_and_mark_tables_survive_later_forwards(self, rng):
+        model, other = mobile_net(rng), build_model(TOY_NET, rng=rng)
+        held = []
+
+        def tap(layer, x):
+            held.append((x.data, x.data.copy()))
+            table = mark_zero_channels(x, 0.1)
+            held.append((table.fmap.data, x.data.copy()))
+
+        forward(model, random_input(rng, model.input_shape), literal(0.1), layer_tap=tap)
+        for _ in range(2):
+            forward(model, random_input(rng, model.input_shape), literal(0.1))
+            forward(other, random_input(rng, other.input_shape))
+        assert len(held) == 2 * len(model.layers)
+        for data, saved in held:
+            assert np.array_equal(bits(data), bits(saved))
+
+    def test_growing_the_scratch_changes_no_bit(self, rng):
+        depthwise = make_conv(16, 9, 9, 16, 3, pad=1, groups=16)
+        dense = make_conv(6, 9, 9, 8, 3, stride=2, pad=1)
+        large = make_conv(64, 40, 40, 64, 1)
+        calls = [(random_input(rng, layer.in_shape), layer, conv_block(rng, layer), marked)
+                 for layer, marked in [(depthwise, rng.random(16) < 0.3),
+                                       (dense, np.isin(np.arange(6), [2])),
+                                       (large, None)]]
+
+        def run():
+            # each layer's first call sizes the arena that its next call gets
+            outputs = [[conv_forward_fast(*call).data for call in calls[:2]] for _ in range(2)]
+            conv_forward_fast(*calls[2])
+            conv_forward_fast(*calls[2])
+            return outputs + [[conv_forward_fast(*call).data for call in calls[:2]]]
+
+        runs = in_new_thread(run)
+        for outputs in runs[1:]:
+            for got, first in zip(outputs, runs[0]):
+                assert np.array_equal(bits(got), bits(first))
+
+    def test_concurrent_forwards_match_sequential_runs(self, rng):
+        model, other = mobile_net(rng), build_model(TOY_NET, rng=rng)
+        cases = [(model, random_input(rng, model.input_shape), literal(0.1)),
+                 (model, random_input(rng, model.input_shape), PruneConfig()),
+                 (other, random_input(rng, other.input_shape), literal(0.0)),
+                 (model, random_input(rng, model.input_shape), literal(0.0))]
+        expected = [forward(*case).data for case in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(cases)) as pool:
+                futures = [pool.submit(lambda case=case: [forward(*case).data for _ in range(40)])
+                           for case in cases]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for want, runs in zip(expected, results):
+            for got in runs:
+                assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("k,groups", [(3, 128), (1, 1)])
+    def test_warm_call_allocates_only_its_output_and_gathered_input(self, rng, k, groups):
+        # MobileNet-shaped: 128 channels at 28², a quarter of them marked
+        layer = make_conv(128, 28, 28, 128, k, pad=k // 2, groups=groups)
+        block = conv_block(rng, layer)
+        t = random_input(rng, layer.in_shape)
+        marked = rng.random(128) < 0.25
+        for _ in range(2):  # the first call sizes this thread's arena, the second makes it
+            conv_forward_fast(t, layer, block, marked)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = conv_forward_fast(t, layer, block, marked)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        gathered = int((~marked).sum()) * t.h * t.w * 4
+        # a float64 temporary of this layer (patch rows, products or
+        # kernels) would take at least 400 KiB more than the 64 KiB slack
+        assert peak <= out.data.nbytes + gathered + (64 << 10)
+
+
+class TestFloat32Sums:
+    """A group that reads one input channel through at most _F32_MAX_TAPS
+    taps is summed in float32; every other layer in float64."""
+
+    def test_depthwise_3x3_within_the_float32_bound(self, rng):
+        for stride in (1, 2):
+            layer = make_conv(32, 20, 20, 64, 3, stride=stride, pad=1, groups=32)
+            block = WeightBlock(rng.normal(size=(64, 1, 3, 3)).astype(np.float32),
+                                np.zeros(64, np.float32))
+            t = random_input(rng, layer.in_shape)
+            sums, magnitudes = conv_sums_float64(t, layer, block)
+            got = conv_forward_fast(t, layer, block).data
+            assert (np.abs(got - sums) <= 1e-6 * magnitudes).all()
+
+    @pytest.mark.parametrize("mode", [MODE_LITERAL, MODE_MAGNITUDE])
+    def test_epsilon_zero_matches_off_bit_for_bit(self, rng, mode):
+        model = mobile_net(rng)
+        for _ in range(5):
+            image = random_input(rng, model.input_shape)
+            recorder = LoadRecorder()
+            pruned = forward(model, image, PruneConfig(0.0, mode=mode), recorder=recorder)
+            assert np.array_equal(bits(pruned.data), bits(forward(model, image).data))
+            depthwise_skips = [r.channels_skipped for r in recorder.rows if r.layer_index in (1, 3)]
+            assert min(depthwise_skips) > 0
+
+    @pytest.mark.parametrize("c,o,k,groups", [(8, 16, 1, 1), (12, 12, 5, 12)])
+    def test_other_layers_stay_float64(self, rng, c, o, k, groups):
+        # a 1×1 layer over 8 channels and a 5×5 depth-wise layer: the float64
+        # sums rounded once to float32 match bit for bit, which float32 sums
+        # of 8 or 25 terms would not
+        layer = make_conv(c, 24, 24, o, k, pad=k // 2, groups=groups)
+        block = conv_block(rng, layer)
+        t = random_input(rng, layer.in_shape)
+        sums, _ = conv_sums_float64(t, layer, block)
+        expected = sums.astype(np.float32) + block.biases[:, None, None]
+        assert np.array_equal(bits(conv_forward_fast(t, layer, block).data), bits(expected))
