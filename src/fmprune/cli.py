@@ -31,26 +31,23 @@ def _finite_float(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
 
 
-def _leak(text: str) -> float:
-    try:
-        return require_leak(_finite_float(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _checked(require, many: bool = False):
+    """An argparse type: the text as a finite number (or, with many, a
+    comma-separated list of them) passed through the engine's require
+    check, whose ValueError becomes a usage error."""
+    def convert(text: str):
+        value = ([_finite_float(part) for part in text.split(",") if part.strip() != ""]
+                 if many else _finite_float(text))
+        try:
+            return require(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
-def _epsilon(text: str) -> float:
-    try:
-        return require_epsilon(_finite_float(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _float_list(text: str) -> list[float]:
-    values = [_finite_float(part) for part in text.split(",") if part.strip() != ""]
-    try:
-        return require_sorted(values)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+_leak = _checked(require_leak)
+_epsilon = _checked(require_epsilon)
+_float_list = _checked(require_sorted, many=True)
 
 
 def _load_model(args, fold: bool = True):

@@ -38,8 +38,8 @@ def load_ppm(path) -> np.ndarray:
         while pos < len(data):
             if data[pos] in _WHITESPACE:
                 pos += 1
-            elif data[pos:pos + 1] == b"#":
-                while pos < len(data) and data[pos] not in b"\n":
+            elif data[pos:pos + 1] == b"#":  # a comment runs to CR or LF
+                while pos < len(data) and data[pos] not in b"\r\n":
                     pos += 1
             else:
                 break

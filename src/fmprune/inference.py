@@ -1,19 +1,14 @@
 """Forward-pass execution with epsilon-threshold activation pruning.
 
-One convolution kernel, an im2col matrix product over all groups, runs
-every convolutional layer; forward reaches it through the skip-aware
-convolution, which hands it the channel marks, if any. A one-group layer
-then gathers and computes on only its unmarked channels; any other layer
-runs only the groups that hold an unmarked channel. The kernel never
-writes a layer's padding out, and expects batch norm folded into the
-weights (model.fold_batch_norm). The conv and connected kernels
+forward runs the layers in order. Every conv layer goes through
+pruned_conv_forward, which records the layer's loads and hands
+conv_forward_fast, the one convolution kernel for every groups value, the
+channel marks left by the layers before it. The conv and connected kernels
 return the biased linear map; forward applies each layer's activation,
 which is where the epsilon pruning transform lives when a PruneConfig
-enables it, and then marks the channels within epsilon. When the process
-may run on two CPUs, the conv and connected kernels cut each product
-that holds enough work for two between the calling thread and one worker
-thread, started on first use, by handing _in_parts a closure over the
-call's locals to run per part.
+enables it, and then marks the channels within epsilon. Both kernels run
+their products through _in_parts, in one part or cut between the calling
+thread and one worker thread.
 """
 
 from __future__ import annotations
@@ -56,9 +51,12 @@ _PARTS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 # BLAS kernels take rows in groups of up to 8, and a row's sum can round
 # differently in a group of another size, so a cut at a multiple of 8 keeps
 # every row's arithmetic as in one whole product, as long as BLAS uses the
-# same kernel for a part as for the whole.
+# same kernel for a part as for the whole. OpenBLAS may pick another kernel
+# for a part's smaller product; a float64 conv sum can then differ in the
+# last bit, which reaches the float32 output only for a sum that close to a
+# rounding boundary.
 _ROW_ALIGN = 8
-# Least multiply-adds each part must hold for a cut to pay, by product: the
+# Least multiply-adds each part must hold for _in_parts to cut, by product: the
 # float32 and float64 conv products, and the connected layers' float32
 # matrix-vector products. A cut hands a part to the worker (about 24 µs),
 # and the two threads then share the memory bus and take turns at the GIL
@@ -87,20 +85,21 @@ _worker = None
 _worker_lock = threading.Lock()
 
 
-def _in_parts(part, n: int, align: int, least: int) -> None:
-    """Run part(start, stop) over range(n), in one part or cut in two.
+def _in_parts(part, n: int, align: int, unit_macs: int, least_macs: int) -> None:
+    """Run part(start, stop) over n units (filters, groups, rows) of
+    unit_macs multiply-adds each, in one part or cut in two.
 
-    With _PARTS = 2 and room for a cut at a multiple of align that leaves
-    at least least units in each part, part(0, mid) runs here and
-    part(mid, n) on the worker thread, mid being the multiple of align at
-    or below n/2; otherwise part(0, n) runs here. The cut depends on n,
-    align, least and _PARTS only, never on timing. This returns, or raises
-    (this thread's error first), only after both parts have stopped, so a
-    part may read the caller's scratch arena, and write its own rows of a
-    buffer there that the caller reads only once this has returned.
+    mid is the multiple of align at or below n/2. The cut is made when
+    _PARTS > 1, unit_macs > 0 and each part holds at least least_macs
+    multiply-adds (mid·unit_macs, in the smaller part), mid being at least
+    one: then part(0, mid) runs here and part(mid, n) on the worker thread,
+    started on the first cut. Otherwise part(0, n) runs here. The cut
+    depends on the arguments and _PARTS only, never on timing, so every run
+    gives the same output. This returns, or raises (this thread's error
+    first), only after both parts have stopped.
     """
-    mid = align * (n // (2 * align)) if _PARTS > 1 else 0
-    if mid < max(least, 1):
+    mid = align * (n // (2 * align))
+    if _PARTS < 2 or unit_macs <= 0 or mid < 1 or mid * unit_macs < least_macs:
         part(0, n)
         return
     done = queue.SimpleQueue()
@@ -111,13 +110,6 @@ def _in_parts(part, n: int, align: int, least: int) -> None:
         error = done.get()
     if error is not None:
         raise error
-
-
-def _least_units(unit_macs: int, product: str) -> int:
-    """The units (filters, groups, rows) of unit_macs multiply-adds each
-    that a part of the product needs to reach _MIN_PART_MACS[product], or,
-    when unit_macs is not positive, more units than any product has."""
-    return -(-_MIN_PART_MACS[product] // unit_macs) if unit_macs > 0 else 1 << 62
 
 
 def _worker_jobs() -> queue.SimpleQueue:
@@ -264,64 +256,60 @@ def conv_forward_fast(fmap: Tensor, layer: LayerSpec, block: WeightBlock,
     forward reaches it through pruned_conv_forward. marked, when given, is
     a boolean mask over the input channels; the result is that of the same
     convolution over the input with the marked channels replaced by exact
-    zeros, but marked channels are skipped. There are two plans. A
+    zeros, but marked channels are skipped, by one of two mark plans. A
     one-group layer gathers its unmarked channels and the kernel slices
     that read them, and never computes on a marked channel. Any other layer
     runs whole each group that holds an unmarked channel, with the marked
     channels inside it zeroed in the gathered copy (a depth-wise layer,
     one channel per group, has none); a group that is not run outputs its
-    bias. The input itself is left unchanged.
-
-    Each part copies, or gathers, its input channels into one float32
-    buffer with p·(w + 1) spare elements at either end, so the padding is
-    never written out: a tap in the padding reads a neighbouring element,
-    and every patch row goes through one copy that zeroes those taps
-    (_pad_taps) while the rows are in cache. Grouped layers take their run
-    groups in blocks of as many whole groups as fit their patch rows into
-    _BLOCK_BYTES (at least one): one copy from a strided window view of the
-    buffer writes a block's patch rows into one reused buffer, and one
-    stacked matmul with the block's kernels accumulates the patch products
-    while the patch matrix is still in cache. A one-group layer builds its
-    whole patch matrix in chunks of channels of the same budget. The
-    products are accumulated in float64 (the patch rows and kernels
-    widened), except in a layer whose groups each read one input channel
-    through at most _F32_MAX_TAPS taps, such as a 3×3 depth-wise layer,
-    which accumulates in float32. Each group's product is independent of
-    the others in its stack, so the block size never changes a bit of the
-    result, which is stored float32. When every group runs, each block's
-    sums go straight into the output. Otherwise each part writes them to
-    its run groups' rows of one placement buffer, which this thread takes
-    from its arena before the parts start, with a zero row ahead of them;
-    once both parts have stopped, one take puts every output group in
-    place, each group that is not run (every group, when every channel is
-    marked) taking the zero row. The bias is added then. Batch norm must
-    already be folded into the block's weights and biases
-    (fold_batch_norm).
+    bias. The input itself is left unchanged. Batch norm must already be
+    folded into the block's weights and biases (fold_batch_norm).
 
     Two closures over the call's locals, taps and products, do the work.
-    With two parts (_in_parts), this thread and the worker thread each run
-    products on their own range. A grouped layer cuts its run groups in
-    two halves: each half gathers its own input channels, gathers and
-    widens its own kernels, and takes its groups in blocks of its own. A
-    one-group layer builds its patch matrix once in this thread, and each
-    half gathers and widens a run of the filters, cut at a multiple of
-    _ROW_ALIGN, and multiplies it. A layer is cut only when each part holds
-    at least _MIN_PART_MACS multiply-adds, a group counting only those
-    beyond _GROUP_CALL_MACS. Each group's product is the same computation
-    in either cut. A filter cut leaves each row's sum to the same BLAS
-    kernel unless BLAS picks another kernel for a part's smaller product
-    (OpenBLAS does for small ones); its float64 sums can then differ in the
-    last bit, which survives into the float32 output only for a sum that
-    close to a rounding boundary. The cut depends only on the layer's
-    shape, the marks and the part count, never on timing, so every run
-    gives the same output.
+    taps reads a run of input channels' patch rows through a strided window
+    view. A padded layer, or one with channels to gather or zero, first
+    copies its channels into a float32 buffer whose padding is never
+    written (_pad_taps). An unpadded layer with nothing to gather reads its
+    taps from the input in place. Making that copy anyway slowed an
+    unpruned MobileNet forward (224²; 2 vCPUs, numpy 2.4.6, OpenBLAS 0.3.31,
+    one BLAS thread; medians over alternating rounds in one process) by
+    0.2–2.2 ms of 34.8–43.9 in each of six processes on two CPUs, the
+    in-place read faster in 7–12 of 16 rounds. On one CPU it slowed five of
+    six processes by 0.4–2.6 ms of 38.4–52.6 (the in-place read faster in
+    10 of 12, 10 and 11 of 16, and 17 and 18 of 24 rounds), and the sixth
+    ran 2.6 ms faster with the copy (2 of 12).
 
-    Every temporary (gathered input, gathered and widened kernels, patch
-    rows and float64 products) lives in the scratch arena (_Scratch) of the
-    thread that makes it, and the placement buffer in this thread's, where
-    the worker thread writes only its own run groups' rows; so a
-    steady-state call allocates only its output, which is always a fresh
-    array.
+    A grouped layer takes its run groups in blocks of as many whole groups
+    as fit their patch rows into _BLOCK_BYTES, at least one: one copy from
+    the window view writes a block's patch rows into one reused buffer, and
+    one stacked matmul with the block's kernels sums the products while the
+    patch rows are still in cache. A 1 MiB budget beat 256 KiB, 2 MiB and
+    8 MiB, and blocks of output rows instead of groups made AlexNet's dense
+    layers 60% slower. A one-group layer builds its whole patch matrix from
+    the same view, in chunks of channels of the same budget. The products
+    are summed in float64, patch rows and kernels widened, except in the
+    layers _F32_MAX_TAPS lets sum in float32, and stored float32. Each
+    group's product is independent of the others in its stack, so the
+    block size never changes a bit of the result.
+
+    When every group runs, each block's sums go straight into the output.
+    Otherwise they go to their run groups' rows of one placement buffer,
+    which this thread takes from its arena before the parts start, with a
+    zero row ahead of them. Once both parts have stopped, one take puts
+    every output group in place, and each group that is not run (every
+    group, when every channel is marked) takes the zero row. A take of the
+    run groups' rows beat a fancy-index store of pre-biased rows (marked
+    against unmarked depth-wise layers, in one process: 1.001 against
+    1.033) and a take per block (1.075 against 1.15). The bias is added
+    last.
+
+    products runs in one part or two (_in_parts). A grouped layer cuts its
+    run groups (_GROUP_CALL_MACS): each half gathers its own input channels
+    and kernels and takes its groups in blocks of its own. A one-group
+    layer builds its patch matrix once, in this thread, and each half
+    gathers, widens and multiplies a run of the filters (_ROW_ALIGN). Every
+    temporary, the placement buffer included, is taken from a scratch
+    arena (_Scratch); the output is always a fresh array.
     """
     if block.has_batch_norm:
         raise ValueError(f"layer {layer.index}: batch norm is not folded; "
@@ -451,10 +439,10 @@ def conv_forward_fast(fmap: Tensor, layer: LayerSpec, block: WeightBlock,
             copy_rows(cols[c0:c0 + chans], src[c0:c0 + chans])
         cols = cols.reshape(1, rows, n)
         _in_parts(lambda f0, f1: products(0, 1, f0, f1, cols), fpg, _ROW_ALIGN,
-                  _least_units(rows * n, dtype.__name__))
+                  rows * n, _MIN_PART_MACS[dtype.__name__])
     elif g:
         _in_parts(lambda g0, g1: products(g0, g1, 0, fpg), g, 1,
-                  _least_units(fpg * rows * n - _GROUP_CALL_MACS, dtype.__name__))
+                  fpg * rows * n - _GROUP_CALL_MACS, _MIN_PART_MACS[dtype.__name__])
     if run is not None:
         # output group i takes row cumsum(runs)[i] of placed, its run group's
         # products, or row 0 when it is not run; every index is in range, and
@@ -470,23 +458,24 @@ def _pad_taps(h: int, w: int, k: int, s: int, p: int) -> tuple:
     """Index tuples into patch rows (channels, ky, kx, y, x) of an h×w
     input that cover every tap falling in the padding.
 
-    conv_forward_fast never writes a layer's padding out. Each part copies
-    (or gathers) its input channels into a buffer with p·(w + 1) spare
-    elements at either end and reads its taps from there with row pitch w,
-    so a tap in the padding reads a neighbouring element (of the row or
-    plane next to it, or a spare one). Each block's or chunk's patch rows
-    are zeroed there after their copy, while in cache. Against padding each
-    part's buffer in memory, this made the marked depth-wise layers of
-    MobileNet (224², literal 0.1 marks, 8 images, 15 alternating rounds in
-    one process; 2 vCPUs, numpy 2.4.6, OpenBLAS 0.3.31) 14.4 → 10.5 ms per
-    forward (sums of per-layer medians; one CPU: 19.4 → 14.5 ms), and a
-    whole literal-0.1 forward 60.5 → 56.2 ms (median of 64; quartiles
-    [55.8, 64.5] → [50.4, 58.6]). A one-group layer zeroes each chunk of
-    channels of its float64 patch matrix right after its copy (zeroing the
-    whole matrix after building it cost AlexNet 1.5 ms per forward); against
-    padding its input in memory, that made AlexNet's padded conv layers
-    0.980–0.994× as long (sums of per-layer medians, 8 images × 12
-    alternating rounds, six processes; 0.982–0.997× on one CPU).
+    conv_forward_fast never writes a layer's padding out. A padded layer's
+    part copies (or gathers) its input channels into a buffer with
+    p·(w + 1) spare elements at either end and reads its taps from there
+    with row pitch w, so a tap in the padding reads a neighbouring element
+    (of the row or plane next to it, or a spare one). The copy that writes
+    each block's or chunk's patch rows zeroes those taps (copy_rows), while
+    the rows are in cache. Against padding each part's buffer in memory,
+    this made the marked depth-wise layers of MobileNet (224², literal 0.1
+    marks, 8 images, 15 alternating rounds in one process; 2 vCPUs, numpy
+    2.4.6, OpenBLAS 0.3.31) 14.4 → 10.5 ms per forward (sums of per-layer
+    medians; one CPU: 19.4 → 14.5 ms), and a whole literal-0.1 forward
+    60.5 → 56.2 ms (median of 64; quartiles [55.8, 64.5] → [50.4, 58.6]).
+    A one-group layer zeroes each chunk of channels of its float64 patch
+    matrix right after its copy (zeroing the whole matrix after building it
+    cost AlexNet 1.5 ms per forward); against padding its input in memory,
+    that made AlexNet's padded conv layers 0.980–0.994× as long (sums of
+    per-layer medians, 8 images × 12 alternating rounds, six processes;
+    0.982–0.997× on one CPU).
     """
     pads = []
     every = slice(None)
@@ -512,16 +501,13 @@ def pruned_conv_forward(fmap: Tensor, marks: ChannelMarkTable | None, layer: Lay
 
     forward runs every conv layer through here; marks=None marks nothing.
     The output is identical to running the plain convolution over the input
-    with marked channels replaced by exact zeros; the conv kernel receives
-    the marks and gathers the unmarked channels. Marked channels are not
-    loaded: the recorder's row for the layer counts their plane elements as
-    skipped, and as kernel_coeffs_skipped the kernel coefficients that read
-    a marked channel. A groups=1 layer multiplies none of those; any other
-    layer runs whole each group that holds an unmarked channel, so with
-    1 < groups < channels the coefficients of a marked channel in such a
-    group are multiplied by zeros (a depth-wise layer has none). Marks may
-    have been computed before a pooling layer, so only the channel count is
-    checked against the input.
+    with marked channels replaced by exact zeros; conv_forward_fast receives
+    the marks and skips the marked channels by its mark plans. Marked
+    channels are not loaded: the recorder's row for the layer counts their
+    plane elements as skipped, and as kernel_coeffs_skipped every kernel
+    coefficient that reads a marked channel, those that a run group
+    multiplies by zeros included. Marks may have been computed before a
+    pooling layer, so only the channel count is checked against the input.
     """
     if marks is None:
         marked, skipped = None, 0
@@ -567,21 +553,16 @@ def avgpool_forward(fmap: Tensor) -> Tensor:
 
 
 def connected_forward(fmap: Tensor, block: WeightBlock) -> Tensor:
-    """The biased linear map of a connected layer, as an O×1×1 tensor.
-
-    A float32 matrix-vector product. With two parts (_in_parts) the caller
-    computes the first half of the output rows and the worker thread the
-    rest, cut at a multiple of _ROW_ALIGN rows, so each row's dot product
-    falls in the same BLAS row group as in one product; a layer whose half
-    holds fewer than _MIN_PART_MACS["connected"] multiply-adds is not cut.
-    """
+    """The biased linear map of a connected layer, as an O×1×1 tensor: a
+    float32 matrix-vector product, its output rows run in one part or two
+    (_in_parts)."""
     flat = fmap.data.reshape(-1)
     wmat = block.weights.reshape(block.out_channels, -1)
     if wmat.shape[1] != flat.size:
         raise ShapeError(f"connected layer expects {wmat.shape[1]} inputs, got {flat.size}")
     out = np.empty(block.out_channels, np.float32)
     _in_parts(lambda r0, r1: np.matmul(wmat[r0:r1], flat, out=out[r0:r1]),
-              block.out_channels, _ROW_ALIGN, _least_units(flat.size, "connected"))
+              block.out_channels, _ROW_ALIGN, flat.size, _MIN_PART_MACS["connected"])
     out += block.biases
     return Tensor(out.reshape(block.out_channels, 1, 1))
 

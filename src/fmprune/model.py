@@ -97,11 +97,14 @@ class _Options(dict):
                 f"[{self.section}] line {self.lineno}: key '{key}' is not an integer: {self[key]!r}"
             ) from None
 
-    def take_str(self, key: str, default: str) -> str:
-        if key not in self:
-            return default
-        self._used.add(key)
-        return self[key]
+    def take_activation(self) -> str:
+        """The section's activation, linear when it names none."""
+        self._used.add("activation")
+        activation = self.get("activation", "linear")
+        if activation not in SUPPORTED_ACTIVATIONS:
+            raise ConfigError(f"[{self.section}] line {self.lineno}: "
+                              f"unsupported activation '{activation}'")
+        return activation
 
     def warn_leftovers(self):
         unknown = sorted(set(self) - self._used)
@@ -155,9 +158,7 @@ def _conv_layer(opts: _Options, in_shape, index: int) -> LayerSpec:
     batch_normalize = opts.take_int("batch_normalize", 0) != 0
     pad_flag = opts.take_int("pad", 0)
     padding = opts.take_int("padding", size // 2 if pad_flag else 0)
-    activation = opts.take_str("activation", "linear")
-    if activation not in SUPPORTED_ACTIVATIONS:
-        raise ConfigError(f"[convolutional] line {opts.lineno}: unsupported activation '{activation}'")
+    activation = opts.take_activation()
     if min(filters, size, stride, groups) < 1 or padding < 0:
         raise ConfigError(f"[convolutional] line {opts.lineno}: non-positive layer parameter")
     if c % groups:
@@ -191,9 +192,7 @@ def _maxpool_layer(opts: _Options, in_shape, index: int) -> LayerSpec:
 
 def _connected_layer(opts: _Options, in_shape, index: int) -> LayerSpec:
     outputs = opts.take_int("outputs", 1)
-    activation = opts.take_str("activation", "linear")
-    if activation not in SUPPORTED_ACTIVATIONS:
-        raise ConfigError(f"[connected] line {opts.lineno}: unsupported activation '{activation}'")
+    activation = opts.take_activation()
     if outputs < 1:
         raise ConfigError(f"[connected] line {opts.lineno}: outputs must be positive")
     return LayerSpec(kind="connected", index=index, outputs=outputs, activation=activation,

@@ -34,6 +34,19 @@ def test_comment_lines_in_header(decode):
     assert pixels[0, 1].tolist() == [4, 5, 6]
 
 
+@pytest.mark.parametrize("header", [b"P6\r# a comment\r2 1\r255\r", b"P6 #c\r2 1 255\n"])
+def test_comment_ends_at_carriage_return(decode, header):
+    """Netpbm ends a header comment at CR as well as at LF."""
+    pixels = decode(header + bytes([1, 2, 3, 4, 5, 6]))
+    assert pixels.shape == (1, 2, 3)
+    assert pixels[0, 1].tolist() == [4, 5, 6]
+
+
+def test_comment_to_the_end_of_the_data_raises(decode):
+    with pytest.raises(PPMError, match="expected an integer"):
+        decode(b"P6\n2 1 # no line end follows")
+
+
 def test_header_errors(decode):
     with pytest.raises(PPMError):
         decode(b"P5\n1 1\n255\n\x00")

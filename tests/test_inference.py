@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 import os
@@ -706,7 +707,7 @@ class TestParts:
             ran.append("caller part done")
 
         with pytest.raises(RuntimeError, match="worker part failed"):
-            inference._in_parts(part, 20, 8, 1)
+            inference._in_parts(part, 20, 8, 1, 1)
         assert ran[-1] == "caller part done"
         parts = sorted(r for r in ran if isinstance(r, tuple))
         assert [(start, stop) for start, stop, _ in parts] == [(0, 8), (8, 20)]
@@ -718,8 +719,8 @@ class TestParts:
         _GROUP_CALL_MACS); set_parts lifts that minimum."""
         monkeypatch.setattr(inference, "_PARTS", 2)
         ran = []
-        inference._in_parts(lambda a, b: ran.append((a, b)), 20, 8, 9)
-        inference._in_parts(lambda a, b: ran.append((a, b)), 20, 8, 8)
+        inference._in_parts(lambda a, b: ran.append((a, b)), 20, 8, 1, 9)
+        inference._in_parts(lambda a, b: ran.append((a, b)), 20, 8, 1, 8)
         assert sorted(ran) == [(0, 8), (0, 20), (8, 20)]
 
         handed = []
@@ -742,6 +743,74 @@ class TestParts:
         assert np.array_equal(bits(connected_forward(features, classifier).data), bits(whole))
         assert handed == [1, 1]
 
+    def test_cuts_where_the_least_units_rule_did(self, monkeypatch):
+        """_in_parts decides from multiply-adds where an earlier rule decided
+        from units: a part needed ceil(least_macs / unit_macs) units, and at
+        least one, and a unit of no multiply-adds never cut. For positive
+        integers, mid >= ceil(m / u) exactly when mid * u >= m."""
+        monkeypatch.setattr(inference, "_PARTS", 2)
+        minimums = [0, *sorted(set(inference._MIN_PART_MACS.values()))]
+        units = [-5, 0, 1, 7, 2048, 4095, 4096, 5000, 1 << 16, 1 << 17, 1 << 20]
+        for n, align, unit, least in itertools.product(range(65), (1, 8), units, minimums):
+            mid = align * (n // (2 * align))
+            need = -(-least // unit) if unit > 0 else 1 << 62
+            want = [(0, mid), (mid, n)] if mid >= max(need, 1) else [(0, n)]
+            ran = []
+            inference._in_parts(lambda a, b: ran.append((a, b)), n, align, unit, least)
+            assert sorted(ran) == want, (n, align, unit, least)
+
+    @pytest.mark.parametrize("net,size,cut", [
+        ("mobilenet", "full", [*range(11), *range(12, 27, 2)]),
+        ("alexnet", "full", [0, 2, 4, 5, 6, 8, 9]),
+        ("mobilenet", "tiny", []),
+        ("alexnet", "tiny", []),
+    ])
+    def test_benchmark_layers_cut(self, rng, monkeypatch, net, size, cut):
+        """Which weighted layers of the benchmark's nets are cut on two CPUs
+        with the real minimums, unmarked and with a fifth of each input's
+        channels marked. MobileNet-224 runs its depth-wise layers at 14² and
+        7² and its 1000×1024 classifier whole. AlexNet-227 runs its
+        1000×4096 layer whole, the closest call: 496 rows of 4096, 2.03M
+        multiply-adds a part, against 2²¹. Their test nets run every layer
+        whole. An unmarked layer is cut in halves of its outputs. AlexNet's
+        two large connected layers (150 and 67 MB of weights) are checked
+        through _in_parts with their shapes' numbers."""
+        monkeypatch.setattr(inference, "_PARTS", 2)
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        side, layers = getattr(workloads, f"{net}_layers")(size)
+        model = parse_config(workloads.config_text(side, layers))
+        handed = []
+        jobs = inference._worker_jobs
+
+        class Handoffs:
+            def put(self, job):  # job: (part, mid, n, done)
+                handed.append(job[1:3])
+                jobs().put(job)
+
+        monkeypatch.setattr(inference, "_worker_jobs", Handoffs)
+        for share in (0.0, 0.2):
+            found = []
+            for layer in model.layers:
+                out = layer.out_shape[0]
+                handed.clear()
+                if layer.kind == "connected" and out * math.prod(layer.in_shape) > 1 << 24:
+                    inference._in_parts(lambda a, b: None, out, inference._ROW_ALIGN,
+                                        math.prod(layer.in_shape),
+                                        inference._MIN_PART_MACS["connected"])
+                elif layer.kind == "connected":
+                    block = WeightBlock(np.ones((out, *layer.in_shape), np.float32),
+                                        np.zeros(out, np.float32))
+                    connected_forward(random_input(rng, layer.in_shape), block)
+                elif layer.kind == "convolutional":
+                    marked = rng.random(layer.in_shape[0]) < share if layer.index else None
+                    conv_forward_fast(random_input(rng, layer.in_shape), layer,
+                                      conv_block(rng, layer), marked=marked)
+                if handed:
+                    found.append(layer.index)
+                    assert share or handed == [(out // 2, out)], (layer.index, handed)
+            assert found == cut, share
+
     def test_caller_error_waits_for_the_worker_part(self, monkeypatch):
         set_parts(monkeypatch, 2)
         ran = []
@@ -753,7 +822,7 @@ class TestParts:
             ran.append("worker part done")
 
         with pytest.raises(ValueError, match="caller part failed"):
-            inference._in_parts(part, 20, 8, 1)
+            inference._in_parts(part, 20, 8, 1, 1)
         assert ran == ["worker part done"]
 
     def test_kernel_error_in_the_worker_part(self, rng, monkeypatch):
@@ -763,14 +832,14 @@ class TestParts:
         want = conv_forward_fast(t, layer, block).data
         in_parts, caller, done = inference._in_parts, threading.get_ident(), []
 
-        def failing_in_the_worker(part, n, align, least):
+        def failing_in_the_worker(part, n, align, unit_macs, least_macs):
             def wrapped(start, stop):
                 if threading.get_ident() != caller:
                     raise MemoryError("worker part")
                 time.sleep(0.05)
                 part(start, stop)
                 done.append((start, stop))
-            in_parts(wrapped, n, align, least)
+            in_parts(wrapped, n, align, unit_macs, least_macs)
 
         monkeypatch.setattr(inference, "_in_parts", failing_in_the_worker)
         with pytest.raises(MemoryError, match="worker part"):

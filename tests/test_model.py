@@ -108,6 +108,17 @@ def test_parse_errors():
         parse_config("[net]\nheight=4\nwidth=4\nchannels=1\n\n[convolutional]\nsize=9\n")
 
 
+@pytest.mark.parametrize("text,message", [
+    (BASIC_CONV.replace("activation=relu", "activation=mish"),
+     r"^\[convolutional\] line 7: unsupported activation 'mish'$"),
+    (BASIC_CONV + "\n[connected]\noutputs=3\nactivation=tanh\n",
+     r"^\[connected\] line 14: unsupported activation 'tanh'$"),
+])
+def test_unsupported_activation_names_section_and_line(text, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(text)
+
+
 def test_second_net_section_rejected():
     with pytest.raises(ConfigError, match=r"line 14: duplicate \[net\] section"):
         parse_config(BASIC_CONV + "\n[net]\nheight=4\nwidth=4\nchannels=1\n")
